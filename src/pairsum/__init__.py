@@ -17,7 +17,6 @@ from .central import (
     gamma3,
     gamma3_connected,
     gamma_product,
-    pipeline_caps,
 )
 from .charpoly import (
     ChamberCounts,
@@ -93,7 +92,6 @@ __all__ = [
     "hyperplane_count",
     "interpolate_counts",
     "interpolated_chi",
-    "pipeline_caps",
     "rank_and_centrality",
     "signs_alternate",
     "whitney_chi",

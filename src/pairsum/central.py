@@ -9,16 +9,19 @@ consistent).  Central graphs decompose uniquely into four kinds of
 components, and the generating function for all central graphs is the
 product of one factor per kind:
 
-  type 0  uncolored bipartite components (tracked by z; rank = order - 1
-          per component, hence the z/x re-indexing),
+  type 0  uncolored bipartite components (each marked by z),
   type 1  uncolored non-bipartite components,
   type 2  isolated colored vertices,
   type 3  components in which every vertex reaches a colored vertex.
 
-In the product Gamma(x,y,z), x marks rank, y cardinality (edges plus colored
-vertices) and z the number of type-0 components; the x^r y^c z^v coefficient
-times (r+v)! is the number of central graphs of rank r and cardinality c
-with v bipartite components on a vertex set of size r+v.
+In the product Gamma(x,y,z), x marks the number of vertices, y cardinality
+(edges plus colored vertices) and z the number of type-0 components.  Each
+factor is a labeled-count series (:mod:`pairsum.labeled`) truncated at
+m <= n vertices: entry m maps (c, v) to m! [x^m y^c z^v], the number of
+central graphs of that kind on the vertex set {1..m}.  All arithmetic is on
+integers.  A type-0 component on k vertices has rank k - 1 and every other
+component has full rank, so a graph on m vertices with v type-0 components
+has rank m - v; :func:`extract_counts` re-indexes by that rank.
 
 The type-1 factor exists in two variants, selected by :class:`Mode`.  The
 published closed form subtracts the bipartite isolated-vertex-free series
@@ -33,20 +36,20 @@ non-bipartite are counted and the decomposition stays unique.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Mapping, Tuple
 
+from . import labeled
 from .graphcounts import (
     ConsistencyError,
     CountTable,
-    all_graphs_series,
-    bipartite_no_isolated_series,
-    connected_bipartite_counts,
-    connected_bipartite_series,
-    graphs_no_isolated_series,
+    bipartite_no_isolated_table,
+    connected_bipartite_table,
+    connected_table,
+    no_isolated_table,
+    without_single_vertex,
 )
-from .series import TruncatedSeries, TruncationCaps
+from .labeled import Labeled
 
 
 class Mode(str, enum.Enum):
@@ -57,106 +60,103 @@ class Mode(str, enum.Enum):
     CORRECTED = "corrected"
 
 
-def pipeline_caps(n: int) -> TruncationCaps:
-    """Caps sufficient to assemble the characteristic polynomial for rank n.
-
-    dy covers every edge plus one color wall per vertex; dz covers the
-    largest possible number of bipartite components (each has at least two
-    vertices, and a rank-r part with v components occupies r+v <= n labels).
-    """
+def cardinality_cap(n: int) -> int:
+    """Largest cardinality of a graph on n vertices: every edge plus one
+    color wall per vertex."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return TruncationCaps(n, comb(n, 2) + n, n // 2)
+    return comb(n, 2) + n
 
 
-def _flat(caps: TruncationCaps) -> TruncationCaps:
-    return TruncationCaps(caps.dx, caps.dy, 0)
+def gamma0(n: int) -> Labeled:
+    """Type-0 factor: exp[z * (connected bipartite minus x)].
 
-
-def gamma0(caps: TruncationCaps) -> TruncatedSeries:
-    """Type-0 factor: exp[(connected bipartite EGF minus x) * z/x].
-
-    The inner series is computed with the x cap raised by one so that the
-    rank re-indexing (which lowers every x-degree by one) stays exact up to
-    caps.dx.
+    The single vertex is left out: an uncolored isolated vertex is not a
+    wall, so it belongs to no component and is planted later.
     """
-    inner_caps = TruncationCaps(caps.dx + 1, caps.dy, 0)
-    conn = connected_bipartite_series(inner_caps)
-    conn = conn - TruncatedSeries.monomial(inner_caps, (1, 0, 0))
-    shifted = conn.shift_rank_marker()  # caps (caps.dx, caps.dy, 1)
-    if caps.dz == 0:
-        shifted = shifted.truncated(caps)
-    else:
-        shifted = shifted.extended_z(caps.dz)
-    return shifted.exp()
+    cap = cardinality_cap(n)
+    components = without_single_vertex(connected_bipartite_table(n, cap))
+    marked = [{(c, 1): count for (c, _), count in entry.items()} for entry in components]
+    return labeled.exp(marked, cap)
 
 
-def gamma1(caps: TruncationCaps, mode: Mode = Mode.CORRECTED) -> TruncatedSeries:
+def gamma1(n: int, mode: Mode = Mode.CORRECTED) -> Labeled:
     """Type-1 factor in the requested variant.
 
     PAPER: all isolated-vertex-free graphs minus the bipartite
-    isolated-vertex-free ones (counts any graph containing an odd cycle).
-    CORRECTED: exp of the connected non-bipartite EGF (counts graphs all of
-    whose components contain an odd cycle).  The two agree up to order 4;
-    the first divergence is a triangle plus a disjoint edge at order 5.
+    isolated-vertex-free ones, plus one (counts any graph containing an odd
+    cycle).  CORRECTED: exp of the connected non-bipartite series (counts
+    graphs all of whose components contain an odd cycle).  The two agree up
+    to order 4; the first divergence is a triangle plus a disjoint edge at
+    order 5.
     """
-    flat = _flat(caps)
+    cap = cardinality_cap(n)
     if mode is Mode.PAPER:
-        series = graphs_no_isolated_series(flat) - bipartite_no_isolated_series(flat) + 1
-    elif mode is Mode.CORRECTED:
-        connected_nonbip = all_graphs_series(flat).log() - connected_bipartite_series(flat)
-        series = connected_nonbip.exp()
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return series.extended_z(caps.dz)
+        series = labeled.difference(
+            no_isolated_table(n, cap), bipartite_no_isolated_table(n, cap)
+        )
+        series[0] = dict(labeled.ONE)
+        return series
+    if mode is Mode.CORRECTED:
+        connected_nonbip = labeled.difference(
+            connected_table(n, cap), connected_bipartite_table(n, cap)
+        )
+        return labeled.exp(connected_nonbip, cap)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
-def gamma2(caps: TruncationCaps) -> TruncatedSeries:
-    """Type-2 factor: isolated colored vertices, 2^r/r! x^r y^r."""
-    coeffs = {
-        (r, r, 0): Fraction(2**r, factorial(r))
-        for r in range(0, min(caps.dx, caps.dy) + 1)
-    }
-    return TruncatedSeries(_flat(caps), coeffs).extended_z(caps.dz)
+def gamma2(n: int) -> Labeled:
+    """Type-2 factor: 2^m colorings of m isolated colored vertices."""
+    return [{(m, 0): 2**m} for m in range(n + 1)]
 
 
-def gamma3_connected(caps: TruncationCaps) -> TruncatedSeries:
-    """EGF of connected type-3 graphs by rank (= order) and cardinality.
+def gamma3_connected(n: int) -> Labeled:
+    """Connected type-3 graphs by order m and cardinality.
 
-    A connected type-3 graph is a connected bipartite graph on r >= 2
+    A connected type-3 graph is a connected bipartite graph on m >= 2
     vertices carrying t >= 1 colored vertices, colored consistently with the
     bipartition; there are exactly two consistent colorings of any chosen
     vertex set.  With c = edges + t this gives
 
-        coefficient of x^r y^c  =  sum_t 2 * b(r, c-t) * C(r, t) / r!
+        count at (m, c)  =  sum_t 2 * b(m, c-t) * C(m, t)
 
     where b counts connected bipartite graphs by (order, size) and t runs
-    over 1..min(r, c-r+1).  Single colored vertices (r = 1) belong to the
-    type-2 factor, so r starts at 2.
+    over 1..min(m, c-m+1).  Single colored vertices (m = 1) belong to the
+    type-2 factor, so m starts at 2.
     """
-    flat = _flat(caps)
-    bip = connected_bipartite_counts(flat)
-    coeffs: dict[tuple[int, int, int], Fraction] = {}
-    for r in range(2, caps.dx + 1):
-        r_fact = factorial(r)
-        for c in range(r, min(caps.dy, (r * r) // 4 + r) + 1):
+    cap = cardinality_cap(n)
+    bip = connected_bipartite_table(n, cap)
+    table: Labeled = [{}, {}]
+    for m in range(2, n + 1):
+        entry = {}
+        for c in range(m, min(cap, (m * m) // 4 + m) + 1):
             total = sum(
-                2 * bip[(r, c - t)] * comb(r, t)
-                for t in range(1, min(r, c - r + 1) + 1)
+                2 * bip[m].get((c - t, 0), 0) * comb(m, t)
+                for t in range(1, min(m, c - m + 1) + 1)
             )
             if total:
-                coeffs[(r, c, 0)] = Fraction(total, r_fact)
-    return TruncatedSeries(flat, coeffs)
+                entry[(c, 0)] = total
+        table.append(entry)
+    return table
 
 
-def gamma3(caps: TruncationCaps) -> TruncatedSeries:
-    """Type-3 factor: exp of the connected type-3 EGF."""
-    return gamma3_connected(caps).exp().extended_z(caps.dz)
+def gamma3(n: int) -> Labeled:
+    """Type-3 factor: exp of the connected type-3 series."""
+    return labeled.exp(gamma3_connected(n), cardinality_cap(n))
 
 
-def gamma_product(caps: TruncationCaps, mode: Mode = Mode.CORRECTED) -> TruncatedSeries:
-    """The full central-graph generating function Gamma = G0*G1*G2*G3."""
-    return gamma0(caps) * gamma1(caps, mode) * gamma2(caps) * gamma3(caps)
+def gamma_product(n: int, mode: Mode = Mode.CORRECTED) -> dict[Tuple[int, int, int], int]:
+    """The full central-graph series Gamma = G0*G1*G2*G3 on at most n vertices,
+    flattened to {(vertices m, cardinality c, type-0 components v): count}."""
+    cap = cardinality_cap(n)
+    # the z-free factors first: G0, the one factor with z, enters one product
+    flat = labeled.product(labeled.product(gamma1(n, mode), gamma2(n), cap), gamma3(n), cap)
+    series = labeled.product(flat, gamma0(n), cap)
+    return {
+        (m, c, v): count
+        for m, entry in enumerate(series)
+        for (c, v), count in entry.items()
+    }
 
 
 class GammaCoefficients:
@@ -218,21 +218,14 @@ class GammaCoefficients:
 
 
 def extract_counts(
-    gamma: TruncatedSeries, *, check_rank_bound: bool = True
+    gamma: Mapping[Tuple[int, int, int], int], *, check_rank_bound: bool = True
 ) -> GammaCoefficients:
-    """Read integer central-graph counts off the product series.
+    """Re-index the product's counts from (vertices m, c, v) to rank m - v.
 
-    The (r, c, v) coefficient times (r+v)! must be a non-negative integer;
-    anything else means the series was assembled inconsistently.  Pass
-    check_rank_bound=False when extracting a paper-mode product, which
+    Pass check_rank_bound=False when extracting a paper-mode product, which
     legitimately carries c < r entries (see :class:`GammaCoefficients`).
     """
-    entries: dict[tuple[int, int, int], int] = {}
-    for (r, c, v), coeff in gamma.items():
-        value = coeff * factorial(r + v)
-        if value.denominator != 1:
-            raise ConsistencyError(
-                f"central-graph count at {(r, c, v)} is not an integer: {value}"
-            )
-        entries[(r, c, v)] = int(value)
-    return GammaCoefficients(entries, check_rank_bound=check_rank_bound)
+    return GammaCoefficients(
+        {(m - v, c, v): count for (m, c, v), count in gamma.items()},
+        check_rank_bound=check_rank_bound,
+    )

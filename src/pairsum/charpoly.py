@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional
 
-from .central import GammaCoefficients, Mode, extract_counts, gamma_product, pipeline_caps
+from .central import GammaCoefficients, Mode, extract_counts, gamma_product
 
 
 class IntPolynomial:
@@ -122,14 +122,14 @@ def chi(
 ) -> IntPolynomial:
     """Characteristic polynomial of the rank-n arrangement.
 
-    A precomputed central-graph table covering ranks up to n may be passed
-    to share series work across several n (see :func:`chi_table`).
+    A precomputed central-graph table covering graphs on up to n vertices
+    may be passed to share the Gamma product across several n (see :func:`chi_table`).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if gamma is None:
         gamma = extract_counts(
-            gamma_product(pipeline_caps(n), mode),
+            gamma_product(n, mode),
             check_rank_bound=mode is Mode.CORRECTED,
         )
     coeffs = [0] * (n + 1)
@@ -146,15 +146,15 @@ def chambers(n: int, mode: Mode = Mode.CORRECTED) -> ChamberCounts:
 
 
 def chi_table(n_max: int, mode: Mode = Mode.CORRECTED) -> list[IntPolynomial]:
-    """[chi(2), ..., chi(n_max)], sharing one series build at the largest caps.
+    """[chi(2), ..., chi(n_max)], sharing one Gamma product on n_max vertices.
 
-    The central-graph counts do not depend on n, so a single product at the
-    n_max caps serves every smaller rank.
+    The central-graph counts do not depend on n, so a single product on at
+    most n_max vertices serves every smaller rank.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     gamma = extract_counts(
-        gamma_product(pipeline_caps(n_max), mode),
+        gamma_product(n_max, mode),
         check_rank_bound=mode is Mode.CORRECTED,
     )
     return [chi(n, mode, gamma=gamma) for n in range(2, n_max + 1)]

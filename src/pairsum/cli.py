@@ -490,6 +490,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1 or n > args.max_n:
         raise UsageError(f"--n must be between 1 and {args.max_n}")
+    if args.workers < 1:
+        raise UsageError("--workers must be at least 1")
     oracle_names = [s.strip() for s in args.oracles.split(",") if s.strip()]
     if not oracle_names:
         raise UsageError("--oracles must name at least one oracle")

@@ -2,17 +2,21 @@
 
 Every series here is an exponential generating function in x (order) and y
 (size): the coefficient of x^n y^k multiplied by n! is a count of labeled
-graphs on n vertices with k edges.  Counts are recovered from the series
-through a mandatory divisibility check, so a miscapped computation fails
-loudly instead of returning a wrong table.
+graphs on n vertices with k edges.  The counts are computed as integer
+labeled-count tables (:mod:`pairsum.labeled`, entry m holding
+``{(k, 0): count}``); the ``*_series`` functions convert a table to a
+:class:`TruncatedSeries` for callers that want the EGF itself, and
+:func:`counts_from_egf` converts back through a mandatory divisibility check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Mapping, Tuple
+from typing import Callable, Iterable, Mapping, Tuple
 
+from . import labeled
+from .labeled import Labeled
 from .series import TruncatedSeries, TruncationCaps
 
 
@@ -75,70 +79,134 @@ def default_caps(n: int) -> TruncationCaps:
     return TruncationCaps(n, comb(n, 2) + n, 0)
 
 
-def _require_flat(caps: TruncationCaps) -> None:
+def _require_no_z(caps: TruncationCaps) -> None:
     if caps.dz != 0:
         raise ValueError(f"this series has no z variable; caps.dz must be 0, got {caps.dz}")
 
 
-def bicolored_series(caps: TruncationCaps) -> TruncatedSeries:
-    """EGF of vertex-2-colored bipartite graphs by order (x) and size (y).
+# -- integer labeled-count tables ---------------------------------------------
 
-    The x^n y^k coefficient is sum over i of C(n,i)*C(i*(n-i),k) / n!: choose
-    the i white vertices, then k edges across the color classes.  Each
-    connected bipartite graph appears under exactly two colorings, which is
-    why half of the logarithm of this series counts connected bipartite
-    graphs.
+
+def bicolored_table(n: int, cap: int) -> Labeled:
+    """Vertex-2-colored bipartite graphs by order m <= n and size k <= cap.
+
+    Entry m maps (k, 0) to sum over i of C(m,i)*C(i*(m-i),k): choose the i
+    white vertices, then k edges across the color classes.  Each connected
+    bipartite graph appears under exactly two colorings, which is why half of
+    the logarithm of this series counts connected bipartite graphs.
     """
-    _require_flat(caps)
-    coeffs: dict[tuple[int, int, int], Fraction] = {(0, 0, 0): Fraction(1)}
-    for n in range(1, caps.dx + 1):
-        n_fact = factorial(n)
-        for k in range(0, min(caps.dy, (n // 2) * ((n + 1) // 2)) + 1):
-            total = sum(comb(n, i) * comb(i * (n - i), k) for i in range(n + 1))
+    table: Labeled = []
+    for m in range(n + 1):
+        entry = {}
+        for k in range(min(cap, (m // 2) * ((m + 1) // 2)) + 1):
+            total = sum(comb(m, i) * comb(i * (m - i), k) for i in range(m + 1))
             if total:
-                coeffs[(n, k, 0)] = Fraction(total, n_fact)
-    return TruncatedSeries(caps, coeffs)
+                entry[(k, 0)] = total
+        table.append(entry)
+    return table
 
 
-def all_graphs_series(caps: TruncationCaps) -> TruncatedSeries:
-    """EGF of all labeled graphs: x^n y^k coefficient C(C(n,2),k) / n!."""
-    _require_flat(caps)
-    coeffs: dict[tuple[int, int, int], Fraction] = {(0, 0, 0): Fraction(1)}
-    for n in range(1, caps.dx + 1):
-        n_fact = factorial(n)
-        for k in range(0, min(caps.dy, comb(n, 2)) + 1):
-            coeffs[(n, k, 0)] = Fraction(comb(comb(n, 2), k), n_fact)
-    return TruncatedSeries(caps, coeffs)
+def all_graphs_table(n: int, cap: int) -> Labeled:
+    """All labeled graphs: entry m maps (k, 0) to C(C(m,2), k)."""
+    return [
+        {(k, 0): comb(comb(m, 2), k) for k in range(min(cap, comb(m, 2)) + 1)}
+        for m in range(n + 1)
+    ]
 
 
-def _x_term(caps: TruncationCaps) -> TruncatedSeries:
-    # the single-vertex term; only representable when dx >= 1
-    if caps.dx >= 1:
-        return TruncatedSeries.monomial(caps, (1, 0, 0))
-    return TruncatedSeries.zero(caps)
+def without_single_vertex(table: Labeled) -> Labeled:
+    """Subtract x, the one-vertex connected graph, from a connected table."""
+    return labeled.difference(table, [{}, {(0, 0): 1}] + [{}] * (len(table) - 2))
 
 
-def connected_bipartite_series(caps: TruncationCaps) -> TruncatedSeries:
-    """EGF of connected bipartite graphs: half the log of the bicolored EGF."""
-    return bicolored_series(caps).log() * Fraction(1, 2)
+def connected_table(n: int, cap: int) -> Labeled:
+    """Connected labeled graphs: the log of the all-graphs table."""
+    return labeled.log(all_graphs_table(n, cap), cap)
 
 
-def graphs_no_isolated_series(caps: TruncationCaps) -> TruncatedSeries:
-    """EGF of graphs without isolated vertices: exp(log(all graphs) - x).
+def connected_bipartite_table(n: int, cap: int) -> Labeled:
+    """Connected labeled bipartite graphs: half the log of the bicolored table.
+
+    An odd entry in that log means the bicolored table is wrong, so it raises
+    ConsistencyError instead of rounding.
+    """
+    doubled = labeled.log(bicolored_table(n, cap), cap)
+    halved: Labeled = []
+    for m, entry in enumerate(doubled):
+        for (k, _), value in entry.items():
+            if value % 2:
+                raise ConsistencyError(
+                    f"log of the bicolored series is odd at order {m}, size {k}: {value}"
+                )
+        halved.append({key: value // 2 for key, value in entry.items()})
+    return halved
+
+
+def no_isolated_table(n: int, cap: int) -> Labeled:
+    """Graphs without isolated vertices: exp(log(all graphs) - x).
 
     Dropping the x term removes the one-vertex connected graph, so the
     exponential rebuilds exactly the graphs all of whose components have
     order at least two.
     """
-    _require_flat(caps)
-    return (all_graphs_series(caps).log() - _x_term(caps)).exp()
+    return labeled.exp(without_single_vertex(connected_table(n, cap)), cap)
+
+
+def bipartite_no_isolated_table(n: int, cap: int) -> Labeled:
+    """Bipartite graphs (all components bipartite) without isolated vertices:
+    exp(connected bipartite minus the single-vertex term)."""
+    return labeled.exp(without_single_vertex(connected_bipartite_table(n, cap)), cap)
+
+
+# -- series and count-table views at the given caps ---------------------------
+
+
+def _egf(caps: TruncationCaps, build: Callable[[int, int], Labeled]) -> TruncatedSeries:
+    _require_no_z(caps)
+    return TruncatedSeries(
+        caps,
+        {
+            (m, k, 0): Fraction(count, factorial(m))
+            for m, entry in enumerate(build(caps.dx, caps.dy))
+            for (k, _), count in entry.items()
+        },
+    )
+
+
+def _counts(caps: TruncationCaps, build: Callable[[int, int], Labeled]) -> CountTable:
+    _require_no_z(caps)
+    return CountTable(
+        {
+            (m, k): count
+            for m, entry in enumerate(build(caps.dx, caps.dy))
+            for (k, _), count in entry.items()
+        }
+    )
+
+
+def bicolored_series(caps: TruncationCaps) -> TruncatedSeries:
+    """EGF of vertex-2-colored bipartite graphs by order (x) and size (y)."""
+    return _egf(caps, bicolored_table)
+
+
+def all_graphs_series(caps: TruncationCaps) -> TruncatedSeries:
+    """EGF of all labeled graphs: x^n y^k coefficient C(C(n,2),k) / n!."""
+    return _egf(caps, all_graphs_table)
+
+
+def connected_bipartite_series(caps: TruncationCaps) -> TruncatedSeries:
+    """EGF of connected bipartite graphs: half the log of the bicolored EGF."""
+    return _egf(caps, connected_bipartite_table)
+
+
+def graphs_no_isolated_series(caps: TruncationCaps) -> TruncatedSeries:
+    """EGF of graphs without isolated vertices: exp(log(all graphs) - x)."""
+    return _egf(caps, no_isolated_table)
 
 
 def bipartite_no_isolated_series(caps: TruncationCaps) -> TruncatedSeries:
-    """EGF of bipartite graphs (all components bipartite) without isolated
-    vertices: exp(connected bipartite EGF minus the single-vertex term)."""
-    _require_flat(caps)
-    return (connected_bipartite_series(caps) - _x_term(caps)).exp()
+    """EGF of bipartite graphs without isolated vertices."""
+    return _egf(caps, bipartite_no_isolated_table)
 
 
 def counts_from_egf(series: TruncatedSeries) -> CountTable:
@@ -164,9 +232,9 @@ def counts_from_egf(series: TruncatedSeries) -> CountTable:
 
 def connected_bipartite_counts(caps: TruncationCaps) -> CountTable:
     """Number of connected labeled bipartite graphs, keyed (order, size)."""
-    return counts_from_egf(connected_bipartite_series(caps))
+    return _counts(caps, connected_bipartite_table)
 
 
 def connected_graph_counts(caps: TruncationCaps) -> CountTable:
     """Number of connected labeled graphs, keyed (order, size)."""
-    return counts_from_egf(all_graphs_series(caps).log())
+    return _counts(caps, connected_table)

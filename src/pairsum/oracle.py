@@ -15,6 +15,7 @@ the matrix augmented with the constants.  No floating point anywhere.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -224,11 +225,17 @@ def _census_task(args: tuple[int, int, int]) -> dict[tuple[int, int], int]:
     return acc
 
 
+def _pool_size(workers: int, tasks: int) -> int:
+    """Workers actually started: never more than the tasks or the CPUs."""
+    return min(workers, tasks, os.cpu_count() or 1)
+
+
 def _run_tasks(task, args_list: list, workers: int) -> list:
-    if workers <= 1:
+    size = _pool_size(workers, len(args_list))
+    if size <= 1:
         return [task(args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(args_list) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        chunk = max(1, len(args_list) // (size * 4))
         return list(pool.map(task, args_list, chunksize=chunk))
 
 
@@ -340,9 +347,10 @@ def finite_field_count(
             mask &= axis_view(values != forbidden, axis)
         return int(np.count_nonzero(mask))
 
-    if workers <= 1:
+    size = _pool_size(workers, q)
+    if size <= 1:
         return sum(slice_count(a) for a in range(q))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=size) as pool:
         return sum(pool.map(slice_count, range(q)))
 
 

@@ -1,12 +1,15 @@
 """Truncated formal power series in three variables over exact rationals.
 
-Throughout the package the variables carry fixed meanings: x marks rank (or
-graph order), y marks cardinality, and z marks the number of bipartite
-connected components.  A series stores only the monomials inside a
-rectangular degree box given by :class:`TruncationCaps`, and every operation
-truncates its result to that box.  Because monomial degrees only ever add,
-each retained coefficient equals the exact coefficient of the underlying
-formal series: truncation discards information but never corrupts it.
+The variables carry fixed meanings: x marks graph order, y marks size (or
+cardinality), and z marks the number of bipartite connected components.  The
+package computes with integer labeled counts (:mod:`pairsum.labeled`); this
+class is the form in which :mod:`pairsum.graphcounts` returns a generating
+function to callers that want the series itself.  A series stores only the
+monomials inside a rectangular degree box given by :class:`TruncationCaps`,
+and every operation truncates its result to that box.  Because monomial
+degrees only ever add, each retained coefficient equals the exact coefficient
+of the underlying formal series: truncation discards information but never
+corrupts it.
 
 Coefficients are ``fractions.Fraction``; nothing in this module (or the rest
 of the package) ever rounds.
@@ -139,19 +142,6 @@ class TruncatedSeries:
         kept = {k: v for k, v in self._coeffs.items() if caps.admits(k)}
         return TruncatedSeries(caps, kept)
 
-    def extended_z(self, dz: int) -> "TruncatedSeries":
-        """Raise the z cap without adding terms.
-
-        Only valid when the caller knows the underlying formal series has no
-        z-monomials beyond the current cap (e.g. it is a series in x and y
-        only, or every term carries z exactly once).  The container cannot
-        verify that, so this is an explicit assertion by the caller.
-        """
-        if dz < self.caps.dz:
-            raise ValueError("extended_z cannot shrink the z cap; use truncated()")
-        caps = TruncationCaps(self.caps.dx, self.caps.dy, dz)
-        return TruncatedSeries(caps, self._coeffs)
-
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self) -> "TruncatedSeries":
@@ -261,31 +251,3 @@ class TruncatedSeries:
                 break
             result = result + power / (m if m % 2 else -m)
         return result
-
-    def shift_rank_marker(self) -> "TruncatedSeries":
-        """Multiply by z/x: each term c*x^n*y^k becomes c*x^(n-1)*y^k*z.
-
-        Used to re-index a connected-graph series from order to rank while
-        marking the component with z.  The input must be z-free with every
-        monomial of x-degree at least 1 (an x-degree-0 term means an
-        isolated-vertex contribution was not removed upstream).  The x cap
-        drops by one because the input's unknown x^(dx+1) terms would land on
-        x^dx; the z cap is made at least 1 so the marker fits.
-        """
-        for (i, j, k) in self._coeffs:
-            if k != 0:
-                raise ValueError("shift_rank_marker input must not contain z")
-            if i == 0:
-                raise ValueError(
-                    "shift_rank_marker input has an x-degree-0 monomial; "
-                    "the isolated-vertex term was not subtracted"
-                )
-        caps = TruncationCaps(
-            max(self.caps.dx - 1, 0), self.caps.dy, max(self.caps.dz, 1)
-        )
-        shifted = {
-            (i - 1, j, 1): c
-            for (i, j, _), c in self._coeffs.items()
-            if i - 1 <= caps.dx
-        }
-        return TruncatedSeries(caps, shifted)

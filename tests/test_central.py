@@ -1,12 +1,16 @@
 """The four central-graph factors and their product, checked against the
-worked small cases and an independent colored-graph enumeration."""
+worked small cases and an independent colored-graph enumeration.
+
+Factors are labeled-count series: entry m maps (cardinality c, bipartite
+components v) to the number of such graphs on the vertex set {1..m}.
+"""
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
 
 import pytest
 
+from pairsum import graphcounts
 from pairsum.central import (
     GammaCoefficients,
     Mode,
@@ -17,11 +21,9 @@ from pairsum.central import (
     gamma3,
     gamma3_connected,
     gamma_product,
-    pipeline_caps,
 )
 from pairsum.graphcounts import ConsistencyError
 from pairsum.oracle import central_census
-from pairsum.series import TruncatedSeries, TruncationCaps
 
 
 def colored_graph_counts(m):
@@ -104,75 +106,63 @@ def colored_graph_counts(m):
 
 class TestGamma0:
     def test_worked_coefficients(self):
-        g0 = gamma0(TruncationCaps(3, 12, 3))
-        assert g0.coefficient(1, 1, 1) == Fraction(1, 2)
-        assert g0.coefficient(2, 2, 1) == Fraction(1, 2)
-        assert g0.coefficient(2, 2, 2) == Fraction(1, 8)
-        assert g0.coefficient(3, 3, 2) == Fraction(1, 4)
-        assert g0.coefficient(3, 3, 3) == Fraction(1, 48)
+        g0 = gamma0(6)
+        assert g0[2][(1, 1)] == 1  # a single edge
+        assert g0[3][(2, 1)] == 3  # labeled paths on 3 vertices
+        assert g0[4][(2, 2)] == 3  # two disjoint edges
+        assert g0[5][(3, 2)] == 30  # an edge plus a 3-path: C(5,2) * 3
+        assert g0[6][(3, 3)] == 15  # perfect matchings on 6 vertices
 
     def test_every_term_carries_z_or_is_one(self):
-        g0 = gamma0(TruncationCaps(4, 14, 2))
-        for (r, c, v), _ in g0.items():
-            assert v >= 1 or (r == 0 and c == 0)
+        for m, entry in enumerate(gamma0(6)):
+            for (c, v) in entry:
+                assert v >= 1 or (m == 0 and c == 0)
 
     def test_flat_caps_degenerate_to_one(self):
-        caps = TruncationCaps(1, 1, 0)
-        assert gamma0(caps) == TruncatedSeries.one(caps)
+        # one vertex carries no uncolored component: the factor is just 1
+        assert gamma0(1) == [{(0, 0): 1}, {}]
 
 
 class TestGamma1:
     def test_triangle_in_both_modes(self):
-        caps = TruncationCaps(3, 9, 0)
         for mode in Mode:
-            assert gamma1(caps, mode).coefficient(3, 3, 0) == Fraction(1, 6)
+            assert gamma1(3, mode)[3][(3, 0)] == 1
 
     def test_modes_agree_through_order_four(self):
-        caps = pipeline_caps(5)
-        paper = gamma1(caps, Mode.PAPER)
-        corrected = gamma1(caps, Mode.CORRECTED)
-        for i in range(0, 5):
-            for j in range(0, caps.dy + 1):
-                assert paper.coefficient(i, j, 0) == corrected.coefficient(i, j, 0)
+        assert gamma1(5, Mode.PAPER)[:5] == gamma1(5, Mode.CORRECTED)[:5]
 
     def test_order_five_divergence(self):
         # triangle plus disjoint edge: C(5,3) = 10 graphs, misclassified by
         # the published variant, absent from the corrected one
-        caps = pipeline_caps(5)
-        assert gamma1(caps, Mode.PAPER).coefficient(5, 4, 0) == Fraction(10, 120)
-        assert gamma1(caps, Mode.CORRECTED).coefficient(5, 4, 0) == 0
+        assert gamma1(5, Mode.PAPER)[5][(4, 0)] == 10
+        assert gamma1(5, Mode.CORRECTED)[5].get((4, 0), 0) == 0
 
     def test_no_z_terms(self):
         for mode in Mode:
-            for (_, _, v), _ in gamma1(pipeline_caps(4), mode).items():
-                assert v == 0
+            for entry in gamma1(6, mode):
+                assert all(v == 0 for (_, v) in entry)
 
 
 class TestGamma2:
     def test_diagonal_values(self):
-        g2 = gamma2(TruncationCaps(3, 9, 0))
-        assert g2.coefficient(0, 0, 0) == 1
-        assert g2.coefficient(1, 1, 0) == 2
-        assert g2.coefficient(2, 2, 0) == 2  # 2^2/2!
-        assert g2.coefficient(3, 3, 0) == Fraction(4, 3)
-        assert g2.coefficient(2, 1, 0) == 0
+        assert gamma2(3) == [{(0, 0): 1}, {(1, 0): 2}, {(2, 0): 4}, {(3, 0): 8}]
 
     def test_no_z_terms(self):
-        for (_, _, v), _ in gamma2(pipeline_caps(5)).items():
-            assert v == 0
+        for entry in gamma2(5):
+            assert all(v == 0 for (_, v) in entry)
 
 
 class TestGamma3:
     def test_connected_counts(self):
-        g3c = gamma3_connected(TruncationCaps(3, 12, 0))
-        assert g3c.coefficient(2, 2, 0) * factorial(2) == 4
-        assert g3c.coefficient(2, 3, 0) * factorial(2) == 2
-        assert g3c.coefficient(3, 3, 0) * factorial(3) == 18  # 2 * b(3,2) * C(3,1)
+        g3c = gamma3_connected(3)
+        assert g3c[2][(2, 0)] == 4
+        assert g3c[2][(3, 0)] == 2
+        assert g3c[3][(3, 0)] == 18  # 2 * b(3,2) * C(3,1)
 
     def test_connected_counts_by_enumeration(self):
         # enumerate connected central colored graphs with at least one color
         # on [m] directly and compare cardinality by cardinality
-        for m in (2, 3):
+        for m in (2, 3, 4):
             truth: dict[int, int] = {}
             edge_slots = list(combinations(range(m), 2))
             for mask in range(1 << len(edge_slots)):
@@ -209,85 +199,106 @@ class TestGamma3:
                         continue
                     cardinality = len(edges) + t
                     truth[cardinality] = truth.get(cardinality, 0) + 1
-            g3c = gamma3_connected(TruncationCaps(m, 12, 0))
-            for c in range(0, 13):
-                assert g3c.coefficient(m, c, 0) * factorial(m) == truth.get(c, 0), (m, c)
+            g3c = gamma3_connected(m)
+            assert {c: count for (c, _), count in g3c[m].items()} == truth, m
 
     def test_exp_matches_worked_factor(self):
-        g3 = gamma3(TruncationCaps(3, 12, 0))
-        assert g3.coefficient(0, 0, 0) == 1
-        assert g3.coefficient(2, 2, 0) == 2
-        assert g3.coefficient(2, 3, 0) == 1
-        assert g3.coefficient(3, 3, 0) == 3
-        assert g3.coefficient(3, 4, 0) == 3
-        assert g3.coefficient(3, 5, 0) == 1
+        g3 = gamma3(3)
+        assert g3[0] == {(0, 0): 1}
+        assert g3[2][(2, 0)] == 4
+        assert g3[2][(3, 0)] == 2
+        assert g3[3][(3, 0)] == 18
+        assert g3[3][(4, 0)] == 18
+        assert g3[3][(5, 0)] == 6
 
     def test_complete_rank_two_factor(self):
-        # through rank 2 the factor is exactly 1 + 2 x^2 y^2 + x^2 y^3
-        caps = TruncationCaps(2, 5, 0)
-        expected = TruncatedSeries(
-            caps, {(0, 0, 0): 1, (2, 2, 0): 2, (2, 3, 0): 1}
-        )
-        assert gamma3(caps) == expected
+        # through order 2 the factor is exactly 1 + (4 y^2 + 2 y^3) x^2/2!
+        assert gamma3(2) == [{(0, 0): 1}, {}, {(2, 0): 4, (3, 0): 2}]
 
     def test_no_z_terms(self):
-        for (_, _, v), _ in gamma3(pipeline_caps(5)).items():
-            assert v == 0
+        for entry in gamma3(5):
+            assert all(v == 0 for (_, v) in entry)
 
 
 class TestGammaProduct:
     def test_rank_two_coefficients(self):
-        product_series = gamma_product(pipeline_caps(2), Mode.CORRECTED)
-        assert product_series.coefficient(0, 0, 0) == 1
-        assert product_series.coefficient(1, 1, 0) == 2
-        assert product_series.coefficient(1, 1, 1) == Fraction(1, 2)
-        assert product_series.coefficient(2, 2, 0) == 4
-        assert product_series.coefficient(2, 3, 0) == 1
+        # keys are (vertices, cardinality, bipartite components)
+        assert gamma_product(2, Mode.CORRECTED) == {
+            (0, 0, 0): 1,
+            (1, 1, 0): 2,
+            (2, 1, 1): 1,
+            (2, 2, 0): 8,
+            (2, 3, 0): 2,
+        }
 
     def test_extracted_counts(self):
-        gamma = extract_counts(gamma_product(pipeline_caps(2), Mode.CORRECTED))
+        gamma = extract_counts(gamma_product(2, Mode.CORRECTED))
         assert gamma.count(0, 0, 0) == 1
         assert gamma.count(1, 1, 0) == 2
         assert gamma.count(1, 1, 1) == 1
         assert gamma.count(2, 2, 0) == 8
 
     def test_matches_colored_graph_enumeration(self):
-        gamma = extract_counts(gamma_product(pipeline_caps(4), Mode.CORRECTED))
+        gamma = extract_counts(gamma_product(4, Mode.CORRECTED))
         for m in range(1, 5):
             truth = colored_graph_counts(m)
             computed = {k: v for k, v in gamma.items() if k[0] + k[2] == m}
             assert computed == truth, m
 
     def test_rank_cardinality_table_matches_census(self):
-        gamma = extract_counts(gamma_product(pipeline_caps(5), Mode.CORRECTED))
+        gamma = extract_counts(gamma_product(5, Mode.CORRECTED))
         for n in range(1, 6):
             assert gamma.rank_cardinality_table(n) == central_census(n), n
 
     def test_paper_and_corrected_identical_through_rank_four(self):
-        paper = extract_counts(
-            gamma_product(pipeline_caps(4), Mode.PAPER), check_rank_bound=False
-        )
-        corrected = extract_counts(gamma_product(pipeline_caps(4), Mode.CORRECTED))
+        paper = extract_counts(gamma_product(4, Mode.PAPER), check_rank_bound=False)
+        corrected = extract_counts(gamma_product(4, Mode.CORRECTED))
         assert dict(paper.items()) == dict(corrected.items())
+
+    def test_no_entry_beyond_n_vertices(self):
+        assert max(m for (m, _, _) in gamma_product(7)) == 7
+
+    def test_invalid_n(self):
+        with pytest.raises(ValueError):
+            gamma_product(0)
 
 
 class TestExtractCounts:
-    def test_integrality_enforced(self):
-        caps = TruncationCaps(1, 1, 0)
-        bad = TruncatedSeries(caps, {(0, 0, 0): 1, (1, 1, 0): Fraction(1, 3)})
-        with pytest.raises(ConsistencyError):
-            extract_counts(bad)
+    def test_integrality_enforced(self, monkeypatch):
+        # half the log of the bicolored table counts connected bipartite
+        # graphs; an odd entry there must fail, not be rounded
+        true_table = graphcounts.bicolored_table
+
+        def odd_table(n, cap):
+            table = true_table(n, cap)
+            table[2][(1, 0)] += 1
+            return table
+
+        monkeypatch.setattr(graphcounts, "bicolored_table", odd_table)
+        with pytest.raises(ConsistencyError, match="odd"):
+            extract_counts(gamma_product(3))
 
     def test_rank_bound_enforced_when_strict(self):
-        caps = TruncationCaps(2, 2, 0)
-        series = TruncatedSeries(caps, {(0, 0, 0): 1, (2, 1, 0): Fraction(1, 2)})
+        entries = {(0, 0, 0): 1, (2, 1, 0): 1}
         with pytest.raises(ConsistencyError):
-            extract_counts(series)
-        relaxed = extract_counts(series, check_rank_bound=False)
+            extract_counts(entries)
+        relaxed = extract_counts(entries, check_rank_bound=False)
         assert relaxed.count(2, 1, 0) == 1
 
+    def test_rank_bound_holds_in_corrected_mode(self):
+        gamma = extract_counts(gamma_product(12, Mode.CORRECTED))
+        assert all(c >= r for (r, c, _), _ in gamma.items())
+
+    def test_rank_is_vertices_minus_components(self):
+        gamma = extract_counts({(0, 0, 0): 1, (6, 3, 3): 15})
+        assert gamma.count(3, 3, 3) == 15
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ConsistencyError):
+            extract_counts({(0, 0, 0): 1, (2, 2, 0): -1})
+
     def test_paper_mode_product_needs_relaxed_bound_from_rank_five(self):
-        series = gamma_product(pipeline_caps(5), Mode.PAPER)
+        series = gamma_product(5, Mode.PAPER)
         with pytest.raises(ConsistencyError):
             extract_counts(series)
         gamma = extract_counts(series, check_rank_bound=False)
@@ -296,3 +307,5 @@ class TestExtractCounts:
     def test_empty_graph_required(self):
         with pytest.raises(ConsistencyError):
             GammaCoefficients({(1, 1, 0): 2})
+        with pytest.raises(ConsistencyError):
+            extract_counts({(0, 0, 0): 2})

@@ -96,6 +96,48 @@ class TestChambers:
         assert counts1.total == 3 and counts1.bounded == 1
 
 
+def stirling2_rows(n_max):
+    """rows[n][j] = S(n, j), the Stirling numbers of the second kind."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, n + 1)])
+    return rows
+
+
+def stirling_closed_form(n, rows):
+    """Corrected chi_n(t) = sum_j (S(n,j) + n S(n-1,j)) prod_{i<j} (t-3-2i).
+
+    Substituting y = -1 into the corrected Gamma product makes the signed
+    bicolored series 2e^x - 1 and the signed all-graphs series 1 + x, which
+    gives n! [x^n] (1+x)(2e^x-1)^((t-3)/2).
+    """
+    total = [0] * (n + 1)
+    falling = [1]  # prod_{i<j} (t - 3 - 2i), ascending powers of t
+    for j in range(n + 1):
+        weight = rows[n][j] + (n * rows[n - 1][j] if j <= n - 1 else 0)
+        for power, c in enumerate(falling):
+            total[power] += weight * c
+        shift = -3 - 2 * j
+        falling = [
+            (falling[p - 1] if p else 0) + (shift * falling[p] if p < len(falling) else 0)
+            for p in range(len(falling) + 1)
+        ]
+    return IntPolynomial(total)
+
+
+class TestClosedForm:
+    def test_corrected_chi_matches_stirling_closed_form(self):
+        rows = stirling2_rows(20)
+        for n in range(1, 21):
+            assert chi(n) == stirling_closed_form(n, rows), n
+
+    def test_closed_form_reproduces_worked_examples(self):
+        rows = stirling2_rows(3)
+        assert str(stirling_closed_form(2, rows)) == "t^2 - 5t + 6"
+        assert str(stirling_closed_form(3, rows)) == "t^3 - 9t^2 + 27t - 27"
+
+
 class TestChiTable:
     def test_shared_table_matches_individual_runs(self):
         for mode in Mode:

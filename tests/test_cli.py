@@ -1,5 +1,6 @@
 """Command-line surface: rendering, schemas, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -101,6 +102,22 @@ class TestTable:
         payload = json.loads(out)
         assert json.loads(json.dumps(payload)) == payload
 
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("corrected", "d3af346e0383fd5013154cba2eeba8d4a28d2063f706414bbbee8fc390dbb949"),
+            ("paper", "875730a7904c25dc25549b659b460f5e810e7732800c483fb1e48acb70bb95b8"),
+        ],
+    )
+    def test_pinned_output_through_sixteen(self, capsys, mode, digest):
+        # sha256 of the complete stdout; any change to a coefficient, a
+        # chamber count or the rendering shows up here
+        code, out, _ = run(
+            capsys, "table", "--to", "16", "--max-n", "16", "--mode", mode, "--format", "json"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestBipartite:
     def test_rows_with_census(self, capsys):
@@ -178,6 +195,21 @@ class TestVerify:
         report = json.loads(out)
         assert report["oracles"]["whitney"]["status"] == "skipped"
         assert report["oracles"]["graphs"]["status"] == "ran"
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_usage_error(self, capsys, workers):
+        code, out, err = run(capsys, "verify", "--n", "2", "--workers", workers)
+        assert code == 2
+        assert out == ""
+        assert "--workers must be at least 1" in err
+
+    def test_report_echoes_requested_workers(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--n", "2", "--oracles", "ffield", "--workers", "64",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["workers"] == 64
 
     def test_unknown_oracle(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "3", "--oracles", "psychic")

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from pairsum import oracle
 from pairsum.charpoly import IntPolynomial
 from pairsum.oracle import (
     build_arrangement,
@@ -98,6 +99,60 @@ class TestWhitneyChi:
 
     def test_worker_determinism(self):
         assert whitney_chi(3, workers=1) == whitney_chi(3, workers=2)
+
+
+class RecordingExecutor:
+    """Stands in for a pool executor: records its size and maps serially, so
+    no process or thread is started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingExecutor.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        RecordingExecutor.sizes = []
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+        return RecordingExecutor.sizes
+
+    def test_subset_scan_clamped_to_cpus(self, recorded):
+        assert whitney_chi(3, workers=10_000) == whitney_chi(3)
+        assert central_census(3, workers=10_000) == central_census(3)
+        assert recorded == [4, 4]
+
+    def test_subset_scan_clamped_to_tasks(self, recorded, monkeypatch):
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+        whitney_chi(1, workers=10_000)  # two walls: 2^2 tasks
+        assert recorded == [4]
+
+    def test_point_count_clamped_to_slices(self, recorded, monkeypatch):
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+        assert finite_field_count(2, 5, workers=10_000) == 6  # q = 5 slices
+        assert recorded == [5]
+
+    def test_point_count_clamped_to_cpus(self, recorded):
+        assert finite_field_count(2, 7, workers=10_000) == finite_field_count(2, 7)
+        assert recorded == [4]
+
+    def test_serial_below_two(self, recorded):
+        for workers in (1, 0, -3):
+            whitney_chi(2, workers=workers)
+            finite_field_count(2, 5, workers=workers)
+        assert recorded == []
 
 
 class TestFiniteFieldCount:

@@ -85,18 +85,6 @@ class TestCapAdjustment:
         with pytest.raises(ValueError):
             f.truncated(TruncationCaps(3, 0, 0))
 
-    def test_extended_z_keeps_terms(self):
-        f = S({(1, 1, 0): 1}, TruncationCaps(2, 2, 0))
-        g = f.extended_z(2)
-        assert g.caps == TruncationCaps(2, 2, 2)
-        assert g.coefficient(1, 1, 0) == 1
-        assert g.coefficient(1, 1, 2) == 0
-
-    def test_extended_z_cannot_shrink(self):
-        f = S({(1, 1, 1): 1}, TruncationCaps(2, 2, 1))
-        with pytest.raises(ValueError):
-            f.extended_z(0)
-
 
 class TestMul:
     def test_square(self):
@@ -164,54 +152,6 @@ class TestLog:
             S({(0, 0, 0): 2}).log()
         with pytest.raises(ValueError):
             TruncatedSeries.zero(CAPS).log()
-
-
-class TestShiftRankMarker:
-    def test_single_term(self):
-        f = S({(2, 1, 0): 1}, TruncationCaps(2, 1, 0))
-        shifted = f.shift_rank_marker()
-        assert shifted.caps == TruncationCaps(1, 1, 1)
-        assert shifted.coefficient(1, 1, 1) == 1
-
-    def test_two_terms(self):
-        f = S({(3, 2, 0): 3, (2, 1, 0): 1}, TruncationCaps(3, 2, 0))
-        shifted = f.shift_rank_marker()
-        assert shifted == S({(2, 2, 1): 3, (1, 1, 1): 1}, TruncationCaps(2, 2, 1))
-
-    def test_rejects_z(self):
-        with pytest.raises(ValueError):
-            S({(1, 0, 1): 1}).shift_rank_marker()
-
-    def test_rejects_constant_x_degree(self):
-        with pytest.raises(ValueError):
-            S({(0, 1, 0): 1}).shift_rank_marker()
-
-    def test_linear(self):
-        rng = random.Random(13)
-        caps = TruncationCaps(5, 5, 0)
-        for _ in range(20):
-            f = TruncatedSeries(
-                caps,
-                {
-                    (rng.randint(1, 5), rng.randint(0, 5), 0): Fraction(
-                        rng.randint(-9, 9), rng.randint(1, 9)
-                    )
-                    for _ in range(4)
-                },
-            )
-            g = TruncatedSeries(
-                caps,
-                {
-                    (rng.randint(1, 5), rng.randint(0, 5), 0): Fraction(
-                        rng.randint(-9, 9), rng.randint(1, 9)
-                    )
-                    for _ in range(4)
-                },
-            )
-            a, b = Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))
-            lhs = (f * a + g * b).shift_rank_marker()
-            rhs = f.shift_rank_marker() * a + g.shift_rank_marker() * b
-            assert lhs == rhs
 
 
 class TestCoefficientQueries:

@@ -55,6 +55,13 @@ def _diff_entries(computed: IntPolynomial, reference: IntPolynomial) -> list[dic
     ]
 
 
+def _check_range(flag: str, value: int, low: int, max_n: int) -> None:
+    if max_n < 1:
+        raise UsageError("--max-n must be at least 1")
+    if value < low or value > max_n:
+        raise UsageError(f"{flag} must be between {low} and {max_n}")
+
+
 def _emit(text: str) -> int:
     sys.stdout.write(text)
     if not text.endswith("\n"):
@@ -71,8 +78,7 @@ def _emit_json(payload: dict) -> None:
 
 def _cmd_charpoly(args: argparse.Namespace) -> int:
     n = args.n
-    if n < 1 or n > args.max_n:
-        raise UsageError(f"--n must be between 1 and {args.max_n}")
+    _check_range("--n", n, 1, args.max_n)
     mode = Mode(args.mode)
     poly = chi(n, mode)
     if args.format == "json":
@@ -88,8 +94,7 @@ def _cmd_charpoly(args: argparse.Namespace) -> int:
 
 def _cmd_chambers(args: argparse.Namespace) -> int:
     n = args.n
-    if n < 1 or n > args.max_n:
-        raise UsageError(f"--n must be between 1 and {args.max_n}")
+    _check_range("--n", n, 1, args.max_n)
     mode = Mode(args.mode)
     counts = chambers(n, mode)
     if args.format == "json":
@@ -198,8 +203,7 @@ def _render_table_latex(rows: list[dict]) -> str:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     n_max = args.to
-    if n_max < 2 or n_max > args.max_n:
-        raise UsageError(f"--to must be between 2 and {args.max_n}")
+    _check_range("--to", n_max, 2, args.max_n)
     mode = Mode(args.mode)
     rows = _table_rows(n_max, mode)
     if args.format == "json":
@@ -215,8 +219,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_bipartite(args: argparse.Namespace) -> int:
     n_max = args.to
-    if n_max < 1 or n_max > 12:
-        raise UsageError("--to must be between 1 and 12")
+    _check_range("--to", n_max, 1, DEFAULT_MAX_N)
     counts = connected_bipartite_counts(default_caps(n_max))
     brute: dict[int, dict[int, int]] = {}
     if n_max <= 6:
@@ -488,8 +491,7 @@ def _render_verify_text(report: dict) -> str:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
-    if n < 1 or n > args.max_n:
-        raise UsageError(f"--n must be between 1 and {args.max_n}")
+    _check_range("--n", n, 1, args.max_n)
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
     oracle_names = [s.strip() for s in args.oracles.split(",") if s.strip()]
@@ -505,6 +507,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             primes = tuple(int(s) for s in args.primes.split(","))
         except ValueError as exc:
             raise UsageError(f"--primes must be a comma-separated integer list: {exc}")
+        repeated = sorted({q for q in primes if primes.count(q) > 1})
+        if repeated:
+            raise UsageError(
+                f"--primes repeats {', '.join(map(str, repeated))}; list each prime once"
+            )
     else:
         primes = default_verification_primes(n)
     report = _verify_report(n, oracle_names, primes, args.workers)

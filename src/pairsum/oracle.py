@@ -16,14 +16,11 @@ the matrix augmented with the constants.  No floating point anywhere.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 from typing import Callable, Iterable, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .charpoly import IntPolynomial
 from .graphcounts import CountTable
@@ -234,6 +231,10 @@ def _run_tasks(task, args_list: list, workers: int) -> list:
     size = _pool_size(workers, len(args_list))
     if size <= 1:
         return [task(args) for args in args_list]
+    # imported here, like numpy and the thread pool in finite_field_count, so
+    # that commands that never run an oracle start without loading them
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=size) as pool:
         chunk = max(1, len(args_list) // (size * 4))
         return list(pool.map(task, args_list, chunksize=chunk))
@@ -319,6 +320,8 @@ def finite_field_count(
         )
     if n == 1:
         return q - 2  # every value except 0 and 1
+    import numpy as np
+
     values = np.arange(q, dtype=np.int64)
     unit_ok = (values != 0) & (values != 1)
     pair_ok = (values[:, None] + values[None, :]) % q != 1
@@ -350,6 +353,8 @@ def finite_field_count(
     size = _pool_size(workers, q)
     if size <= 1:
         return sum(slice_count(a) for a in range(q))
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=size) as pool:
         return sum(pool.map(slice_count, range(q)))
 

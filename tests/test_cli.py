@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -238,6 +240,21 @@ class TestVerify:
         rows = json.loads(out)["oracles"]["ffield"]["primes"]
         assert [row["q"] for row in rows] == [5, 7]
 
+    def test_repeated_prime_is_usage_error(self, capsys, monkeypatch):
+        import pairsum.cli as cli_module
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify started work before rejecting --primes")
+
+        monkeypatch.setattr(cli_module, "finite_field_count", no_work)
+        monkeypatch.setattr(cli_module, "chi", no_work)
+        code, out, err = run(
+            capsys, "verify", "--n", "2", "--oracles", "ffield", "--primes", "5,5,7"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--primes repeats 5" in err
+
 
 class TestFailureExitCodes:
     def test_verify_fails_when_corrected_mode_disagrees(self, capsys, monkeypatch):
@@ -278,3 +295,50 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert "pairsum" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["charpoly", "--n", "5"],
+            ["chambers", "--n", "5"],
+            ["table", "--to", "5"],
+            ["verify", "--n", "2"],
+        ],
+    )
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_max_n_below_one_is_usage_error(self, capsys, argv, max_n):
+        code, out, err = run(capsys, *argv, "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert "--max-n must be at least 1" in err
+
+
+# Runs in a fresh interpreter, so that no module loaded by another test counts.
+_START_UP_SCRIPT = """
+import contextlib, io, json, sys
+from pairsum import cli
+for argv in (["charpoly", "--n", "6"], ["table", "--to", "6"], ["bipartite", "--to", "6"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+heavy = ("numpy", "multiprocessing", "concurrent.futures.process")
+loaded = [name for name in heavy if name in sys.modules]
+from pairsum.oracle import finite_field_count, whitney_chi
+print(json.dumps({
+    "loaded": loaded,
+    "ffield": finite_field_count(3, 5),
+    "whitney_pooled_matches": whitney_chi(3, workers=2) == whitney_chi(3),
+}))
+"""
+
+
+def test_commands_without_oracles_load_no_numpy_or_process_pool():
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["loaded"] == []
+    # the oracles still run once they import what they need
+    assert report["ffield"] == 8
+    assert report["whitney_pooled_matches"] is True

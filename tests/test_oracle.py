@@ -1,6 +1,7 @@
 """Brute-force oracles: arrangement construction, exact centrality, subset
 expansion, finite-field counting and the graph census."""
 
+import concurrent.futures
 from math import comb
 
 import pytest
@@ -124,8 +125,10 @@ class TestPoolSize:
     @pytest.fixture
     def recorded(self, monkeypatch):
         RecordingExecutor.sizes = []
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingExecutor)
+        # the pools are imported inside the functions that start them, so
+        # patch them where that import finds them
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
         return RecordingExecutor.sizes
 

@@ -5,8 +5,9 @@ graph-count tables (``bipartite``) and the oracle cross-checks (``verify``).
 Output formats are text (default), json (machine-readable, all big integers
 as decimal strings so any consumer can parse them losslessly) and latex
 (ready-to-paste display-math lines).  Exit codes: 0 success, 1 verification
-failure, 2 usage error.  Given the same arguments and format the output is
-byte-for-byte deterministic.
+failure or a ``verify`` in which every requested check was skipped, 2 usage
+error.  Given the same arguments and format the output is byte-for-byte
+deterministic.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .oracle import (
     enumerate_graphs,
     finite_field_count,
     interpolate_counts,
+    is_verification_prime,
     whitney_chi,
 )
 from .published import diff_polynomials, published_chamber_total, published_chi
@@ -58,6 +60,8 @@ def _diff_entries(computed: IntPolynomial, reference: IntPolynomial) -> list[dic
 def _check_range(flag: str, value: int, low: int, max_n: int) -> None:
     if max_n < 1:
         raise UsageError("--max-n must be at least 1")
+    if max_n < low:
+        raise UsageError(f"--max-n must be at least {low}")
     if value < low or value > max_n:
         raise UsageError(f"{flag} must be between {low} and {max_n}")
 
@@ -275,13 +279,13 @@ def _compare(computed: IntPolynomial, reference: IntPolynomial, label: str) -> d
     }
 
 
-def _verify_whitney(n: int, polys: dict[str, IntPolynomial], workers: int) -> dict:
+def _verify_whitney(n: int, polys: dict[str, IntPolynomial]) -> dict:
     if n > 5:
         return {
             "status": "skipped",
             "reason": "whitney oracle enumerates all wall subsets and is guarded at n <= 5",
         }
-    oracle_poly = whitney_chi(n, workers=workers)
+    oracle_poly = whitney_chi(n)
     section = {
         "status": "ran",
         "polynomial": _str_coeffs(oracle_poly),
@@ -403,18 +407,22 @@ def _verify_report(
         }
     sections: dict = {}
     corrected_failed = False
+    checked = False  # whether any oracle ran at least one check
     for name in oracle_names:
         if name == "whitney":
-            section = _verify_whitney(n, polys, workers)
+            section = _verify_whitney(n, polys)
             if section["status"] == "ran":
+                checked = True
                 corrected_failed = (
                     corrected_failed or section["corrected"]["result"] == "FAIL"
                 )
         elif name == "ffield":
             section = _verify_ffield(n, polys, primes, workers)
+            checked = checked or any(row["status"] == "ran" for row in section["primes"])
             corrected_failed = corrected_failed or section.get("failed", False)
         elif name == "graphs":
             section = _verify_graphs(n)
+            checked = checked or section["status"] == "ran"
             corrected_failed = corrected_failed or section.get("failed", False)
         else:
             raise UsageError(
@@ -422,7 +430,10 @@ def _verify_report(
             )
         sections[name] = section
     report["oracles"] = sections
-    report["result"] = "FAIL" if corrected_failed else "PASS"
+    if corrected_failed:
+        report["result"] = "FAIL"
+    else:
+        report["result"] = "PASS" if checked else "SKIPPED"
     return report
 
 
@@ -511,6 +522,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if repeated:
             raise UsageError(
                 f"--primes repeats {', '.join(map(str, repeated))}; list each prime once"
+            )
+        invalid = [q for q in primes if not is_verification_prime(q)]
+        if invalid:
+            raise UsageError(
+                f"--primes must list primes at least 5, not {', '.join(map(str, invalid))}"
             )
     else:
         primes = default_verification_primes(n)

@@ -3,10 +3,19 @@
 Three oracles, none of which touches the generating-function pipeline:
 
 * :func:`whitney_chi` sums (-1)^|B| t^(n-rank B) over every central subset
-  of walls directly (exact integer elimination, feasible through n = 5);
+  of walls, read off :func:`central_census` (exact integer elimination;
+  guarded at n <= 5, n = 6 takes about a second);
 * :func:`finite_field_count` counts the points of F_q^n lying on no wall;
 * :func:`enumerate_graphs` classifies every labeled graph on up to six
   vertices by size, components, bipartite components and isolated vertices.
+
+The subset census and the graph census are forward passes: they add one wall
+(or one edge) at a time to every state reached so far, where a state is what
+decides the rest of the count (the flat a central subset cuts out; the
+components and 2-colourings of a graph).  Subsets that reach the same state
+are counted together, so the work grows with the number of states, not with
+the 2^(walls) or 2^(edges) subsets they summarize.  Both passes are serial
+and their results do not depend on any worker count.
 
 Centrality is decided by exact linear algebra: a wall set has a common
 point exactly when the rank of the stacked normal matrix equals the rank of
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Any, Callable, Hashable, Iterable, Optional, Sequence, Tuple
 
 from .charpoly import IntPolynomial
 from .graphcounts import CountTable
@@ -89,8 +98,9 @@ def _insert(state: State, row: Row, ncols: int) -> tuple[State, bool, bool]:
     """Insert an augmented row (ncols coefficients, then the constant) into a
     fully reduced state.  Returns (new state, rank grew, inconsistent).
 
-    The state is persistent: callers may keep using the old value, which the
-    subset scan relies on to share elimination prefixes between branches.
+    The state is persistent and canonical: callers may keep using the old
+    value, and equal flats give equal states, which the subset census relies
+    on to merge the subsets that reach the same flat.
     """
     r = list(row)
     for pivot, erow in state:
@@ -142,102 +152,39 @@ def rank_and_centrality(hyperplanes: Iterable[Hyperplane]) -> tuple[int, bool]:
     return rank, central
 
 
-# -- central subset enumeration --------------------------------------------
+# -- forward passes ----------------------------------------------------------
 
 
-def _scan(
-    rows: Sequence[Row],
-    idx: int,
-    state: State,
-    rank: int,
-    size: int,
-    ncols: int,
-    visit: Callable[[int, int], None],
-) -> None:
-    """Depth-first over include/exclude decisions for rows[idx:].
+def _forward_pass(
+    start: Hashable, steps: Iterable, join: Callable[[Any, Any], Any]
+) -> dict:
+    """Count subsets of steps by the state they reach and their size.
 
-    Calls visit(rank, size) once per central subset.  A branch whose
-    included walls already share no point is pruned whole: supersets of a
-    non-central set are never central.
+    Returns {state: {size: count}} starting from {start: {0: 1}}.  Each step
+    either stays out, or joins through join(state, step), which returns the
+    new state, or None to drop the branch.  Subsets that reach the same state
+    share its entry, so the work grows with the number of distinct states
+    rather than with the number of subsets.
     """
-    if idx == len(rows):
-        visit(rank, size)
-        return
-    _scan(rows, idx + 1, state, rank, size, ncols, visit)
-    new_state, grew, bad = _insert(state, rows[idx], ncols)
-    if not bad:
-        _scan(rows, idx + 1, new_state, rank + grew, size + 1, ncols, visit)
+    states: dict = {start: {0: 1}}
+    for step in steps:
+        reached: dict = {}
+        for state, sizes in states.items():
+            for target, shift in ((state, 0), (join(state, step), 1)):
+                if target is None:
+                    continue
+                counts = reached.setdefault(target, {})
+                for size, count in sizes.items():
+                    counts[size + shift] = counts.get(size + shift, 0) + count
+        states = reached
+    return states
+
+
+# -- central subset census -------------------------------------------------
 
 
 def _arrangement_rows(n: int) -> list[Row]:
     return [(*w.normal, w.constant) for w in build_arrangement(n)]
-
-
-def _prefix_state(
-    rows: Sequence[Row], split: int, mask: int, ncols: int
-) -> tuple[State, int, int, bool]:
-    state: State = ()
-    rank = 0
-    size = 0
-    for idx in range(split):
-        if mask >> idx & 1:
-            state, grew, bad = _insert(state, rows[idx], ncols)
-            if bad:
-                return state, rank, size, False
-            rank += grew
-            size += 1
-    return state, rank, size, True
-
-
-def _split_depth(n_rows: int) -> int:
-    # 2^split fixed tasks regardless of worker count keeps results
-    # bit-identical across 1, 2, 8, ... workers
-    return min(n_rows, 8)
-
-
-def _whitney_task(args: tuple[int, int, int]) -> list[int]:
-    n, split, mask = args
-    rows = _arrangement_rows(n)
-    state, rank0, size0, ok = _prefix_state(rows, split, mask, n)
-    acc = [0] * (n + 1)
-    if ok:
-        def visit(rank: int, size: int) -> None:
-            acc[rank] += 1 if size % 2 == 0 else -1
-
-        _scan(rows, split, state, rank0, size0, n, visit)
-    return acc
-
-
-def _census_task(args: tuple[int, int, int]) -> dict[tuple[int, int], int]:
-    n, split, mask = args
-    rows = _arrangement_rows(n)
-    state, rank0, size0, ok = _prefix_state(rows, split, mask, n)
-    acc: dict[tuple[int, int], int] = {}
-    if ok:
-        def visit(rank: int, size: int) -> None:
-            key = (rank, size)
-            acc[key] = acc.get(key, 0) + 1
-
-        _scan(rows, split, state, rank0, size0, n, visit)
-    return acc
-
-
-def _pool_size(workers: int, tasks: int) -> int:
-    """Workers actually started: never more than the tasks or the CPUs."""
-    return min(workers, tasks, os.cpu_count() or 1)
-
-
-def _run_tasks(task, args_list: list, workers: int) -> list:
-    size = _pool_size(workers, len(args_list))
-    if size <= 1:
-        return [task(args) for args in args_list]
-    # imported here, like numpy and the thread pool in finite_field_count, so
-    # that commands that never run an oracle start without loading them
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        chunk = max(1, len(args_list) // (size * 4))
-        return list(pool.map(task, args_list, chunksize=chunk))
 
 
 def _guard(n: int, limit: int, what: str) -> None:
@@ -251,30 +198,36 @@ def _guard(n: int, limit: int, what: str) -> None:
         )
 
 
-def whitney_chi(n: int, *, workers: int = 1, limit: int = 5) -> IntPolynomial:
+def central_census(n: int, *, limit: int = 5) -> CountTable:
+    """Number of central wall subsets by (rank, cardinality).
+
+    One forward pass over the walls.  The state of a central subset is the
+    reduced echelon form of its walls, that is the flat they cut out; a wall
+    that leaves no common point drops the branch, since supersets of a
+    non-central set are never central.  Each flat is eliminated once per
+    wall, however many subsets reach it.
+    """
+    _guard(n, limit, "central_census")
+
+    def join(state: State, row: Row) -> Optional[State]:
+        joined, _, bad = _insert(state, row, n)
+        return None if bad else joined
+
+    totals: dict[tuple[int, int], int] = {}
+    for state, sizes in _forward_pass((), _arrangement_rows(n), join).items():
+        for size, count in sizes.items():
+            key = (len(state), size)
+            totals[key] = totals.get(key, 0) + count
+    return CountTable(totals)
+
+
+def whitney_chi(n: int, *, limit: int = 5) -> IntPolynomial:
     """Characteristic polynomial by direct summation over central subsets."""
     _guard(n, limit, "whitney_chi")
-    rows = _arrangement_rows(n)
-    split = _split_depth(len(rows))
-    args_list = [(n, split, mask) for mask in range(1 << split)]
     coeffs = [0] * (n + 1)
-    for acc in _run_tasks(_whitney_task, args_list, workers):
-        for rank, value in enumerate(acc):
-            coeffs[n - rank] += value
+    for (rank, size), count in central_census(n, limit=limit).items():
+        coeffs[n - rank] += -count if size % 2 else count
     return IntPolynomial(coeffs)
-
-
-def central_census(n: int, *, workers: int = 1, limit: int = 5) -> CountTable:
-    """Number of central wall subsets by (rank, cardinality)."""
-    _guard(n, limit, "central_census")
-    rows = _arrangement_rows(n)
-    split = _split_depth(len(rows))
-    args_list = [(n, split, mask) for mask in range(1 << split)]
-    totals: dict[tuple[int, int], int] = {}
-    for acc in _run_tasks(_census_task, args_list, workers):
-        for key, value in acc.items():
-            totals[key] = totals.get(key, 0) + value
-    return CountTable(totals)
 
 
 # -- finite-field point counting --------------------------------------------
@@ -289,6 +242,16 @@ def _is_prime(q: int) -> bool:
             return False
         d += 1
     return True
+
+
+def is_verification_prime(q: int) -> bool:
+    """Whether :func:`finite_field_count` accepts q: a prime at least 5."""
+    return q >= 5 and _is_prime(q)
+
+
+def _pool_size(workers: int, tasks: int) -> int:
+    """Workers actually started: never more than the tasks or the CPUs."""
+    return min(workers, tasks, os.cpu_count() or 1)
 
 
 def default_verification_primes(n: int) -> tuple[int, ...]:
@@ -306,12 +269,14 @@ def finite_field_count(
     """Number of points of F_q^n lying on none of the walls.
 
     The count runs over one slice per value of the leading coordinate, so
-    memory stays at O(q^(n-1)) booleans; slices are summed in coordinate
-    order, which keeps the result identical for any worker count.
+    memory stays at O(q^(n-1)) booleans; each slice is reduced by matrix
+    products, one axis at a time, without copying the shared mask.  Slices
+    are summed in coordinate order, which keeps the result identical for any
+    worker count.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if q < 5 or not _is_prime(q):
+    if not is_verification_prime(q):
         raise ValueError("q must be a prime at least 5")
     if q**n > budget:
         raise ValueError(
@@ -341,14 +306,19 @@ def finite_field_count(
         view_shape[a2] = q
         base &= pair_ok.reshape(view_shape)
 
+    rows = base.reshape(-1, q).view(np.uint8)
+
     def slice_count(a: int) -> int:
         if a == 0 or a == 1:
             return 0
-        mask = base.copy()
-        forbidden = (1 - a) % q  # x_a + x_i = 1 walls against the lead value
-        for axis in range(n - 1):
-            mask &= axis_view(values != forbidden, axis)
-        return int(np.count_nonzero(mask))
+        # the x_1 + x_i = 1 walls against the lead value forbid one value
+        # on every other axis; sum the allowed values one axis at a time
+        keep = values != (1 - a) % q
+        # a row sum is at most q, so the smallest type holding q cannot overflow
+        part = rows @ keep.astype(np.min_scalar_type(q))
+        for _ in range(n - 2):
+            part = part.reshape(-1, q).astype(np.int64) @ keep
+        return int(part.sum())
 
     size = _pool_size(workers, q)
     if size <= 1:
@@ -462,8 +432,46 @@ class GraphCensus:
         return self._by_size(lambda comps, bip, iso: bip == 0)
 
 
+# (component label per vertex, colour per vertex, bipartite flag per component)
+GraphState = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[bool, ...]]
+
+
+def _join_edge(state: GraphState, edge: tuple[int, int]) -> GraphState:
+    """The state after adding edge (u, v).
+
+    Components are labelled in order of their first vertex, and colours are
+    relative to that vertex, so the state does not depend on the order in
+    which a component's vertices were reached.
+    """
+    labels, colors, bipartite = state
+    u, v = edge
+    cu, cv = labels[u], labels[v]
+    same = colors[u] == colors[v]
+    if cu == cv:
+        if not same or not bipartite[cu]:
+            return state
+        return labels, colors, bipartite[:cu] + (False,) + bipartite[cu + 1 :]
+    # the merged component keeps the smaller label, whose first vertex comes
+    # first; the other side flips when the edge joins equal colours
+    low, high = min(cu, cv), max(cu, cv)
+    if same:
+        colors = tuple(c ^ (l == high) for l, c in zip(labels, colors))
+    labels = tuple(low if l == high else l - (l > high) for l in labels)
+    merged = bipartite[low] and bipartite[high]
+    bipartite = (
+        bipartite[:low] + (merged,) + bipartite[low + 1 : high] + bipartite[high + 1 :]
+    )
+    return labels, colors, bipartite
+
+
 def enumerate_graphs(n: int, *, limit: int = 6) -> GraphCensus:
-    """Classify all 2^C(n,2) labeled graphs on [n]."""
+    """Classify all 2^C(n,2) labeled graphs on [n].
+
+    One forward pass over the edges, the state of a graph being its
+    components, which of them are bipartite, and a 2-colouring of each (proper
+    on the bipartite ones).  Graphs with the same state share one entry, so
+    the pass visits states, not graphs.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > limit:
@@ -471,40 +479,12 @@ def enumerate_graphs(n: int, *, limit: int = 6) -> GraphCensus:
             f"enumerate_graphs visits 2^{comb(n, 2)} graphs and is guarded at "
             f"n <= {limit}; pass limit={n} to override"
         )
-    edge_list = list(combinations(range(n), 2))
+    start: GraphState = (tuple(range(n)), (0,) * n, (True,) * n)
+    states = _forward_pass(start, combinations(range(n), 2), _join_edge)
     counts: dict[tuple[int, int, int, int], int] = {}
-    for mask in range(1 << len(edge_list)):
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        size = 0
-        bits = mask
-        while bits:
-            low = bits & -bits
-            u, v = edge_list[low.bit_length() - 1]
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-            size += 1
-            bits ^= low
-        color = [-1] * n
-        comps = bip = iso = 0
-        for start in range(n):
-            if color[start] != -1:
-                continue
-            comps += 1
-            color[start] = 0
-            stack = [start]
-            comp_size = 1
-            bipartite = True
-            while stack:
-                u = stack.pop()
-                for v in adjacency[u]:
-                    if color[v] == -1:
-                        color[v] = color[u] ^ 1
-                        comp_size += 1
-                        stack.append(v)
-                    elif color[v] == color[u]:
-                        bipartite = False
-            bip += bipartite
-            iso += comp_size == 1
-        key = (size, comps, bip, iso)
-        counts[key] = counts.get(key, 0) + 1
+    for (labels, _, bipartite), sizes in states.items():
+        iso = sum(labels.count(label) == 1 for label in range(len(bipartite)))
+        for size, count in sizes.items():
+            key = (size, len(bipartite), sum(bipartite), iso)
+            counts[key] = counts.get(key, 0) + count
     return GraphCensus(order=n, entries=CountTable(counts))

@@ -12,7 +12,9 @@ therefore passes on its stated terms: the report is complete, deterministic,
 and every difference against the published rows is itemized.
 """
 
+import contextlib
 import functools
+import io
 import json
 import random
 import subprocess
@@ -23,6 +25,7 @@ from math import comb
 
 from pairsum.central import Mode, extract_counts, gamma1, gamma_product
 from pairsum.charpoly import IntPolynomial, chi, hyperplane_count, signs_alternate
+from pairsum.cli import main
 from pairsum.graphcounts import connected_bipartite_counts, connected_graph_counts, default_caps
 from pairsum.oracle import enumerate_graphs, finite_field_count, whitney_chi
 from pairsum.published import diff_polynomials, published_chamber_total, published_chi
@@ -212,7 +215,15 @@ def test_criterion_6_property_suites():
 
 @criterion(7, "determinism across worker counts")
 def test_criterion_7_worker_determinism():
-    whitney_runs = [whitney_chi(4, workers=w) for w in (1, 2, 8)]
-    assert whitney_runs[0] == whitney_runs[1] == whitney_runs[2]
+    reports = []
+    for workers in ("1", "2", "8"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", "--n", "4", "--workers", workers, "--format", "json"])
+        assert code == 0
+        report = json.loads(out.getvalue())
+        assert report.pop("workers") == int(workers)
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
     ffield_runs = [finite_field_count(4, 13, workers=w) for w in (1, 2, 8)]
     assert ffield_runs[0] == ffield_runs[1] == ffield_runs[2]

@@ -240,7 +240,8 @@ class TestVerify:
         rows = json.loads(out)["oracles"]["ffield"]["primes"]
         assert [row["q"] for row in rows] == [5, 7]
 
-    def test_repeated_prime_is_usage_error(self, capsys, monkeypatch):
+    @pytest.fixture
+    def no_work(self, monkeypatch):
         import pairsum.cli as cli_module
 
         def no_work(*args, **kwargs):
@@ -248,12 +249,42 @@ class TestVerify:
 
         monkeypatch.setattr(cli_module, "finite_field_count", no_work)
         monkeypatch.setattr(cli_module, "chi", no_work)
+
+    def test_repeated_prime_is_usage_error(self, capsys, no_work):
         code, out, err = run(
             capsys, "verify", "--n", "2", "--oracles", "ffield", "--primes", "5,5,7"
         )
         assert code == 2
         assert out == ""
         assert "--primes repeats 5" in err
+
+    @pytest.mark.parametrize("primes", ["4,6,8", "5,9", "3", "1,7", "-5"])
+    def test_prime_below_five_or_composite_is_usage_error(self, capsys, no_work, primes):
+        code, out, err = run(
+            capsys, "verify", "--n", "2", "--oracles", "ffield", "--primes", primes
+        )
+        assert code == 2
+        assert out == ""
+        assert "--primes must list primes at least 5" in err
+
+    def test_nothing_checked_is_skipped_not_pass(self, capsys):
+        # every prime's q^7 exceeds the point budget, so no count runs
+        code, out, _ = run(
+            capsys, "verify", "--n", "7", "--oracles", "ffield", "--max-n", "7",
+            "--format", "json",
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert [row["status"] for row in report["oracles"]["ffield"]["primes"]] == [
+            "skipped"
+        ] * 3
+        assert report["result"] == "SKIPPED"
+
+    def test_nothing_checked_text_report(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "6", "--oracles", "whitney")
+        assert code == 1
+        assert out.startswith("verify n=6 (SKIPPED)")
+        assert "whitney: skipped" in out
 
 
 class TestFailureExitCodes:
@@ -312,6 +343,20 @@ class TestParser:
         assert out == ""
         assert "--max-n must be at least 1" in err
 
+    @pytest.mark.parametrize(
+        "argv, low",
+        [
+            (["table", "--to", "5"], 2),
+            (["table", "--to", "2"], 2),
+        ],
+    )
+    def test_max_n_below_lowest_value_names_the_bound(self, capsys, argv, low):
+        code, out, err = run(capsys, *argv, "--max-n", "1")
+        assert code == 2
+        assert out == ""
+        assert f"--max-n must be at least {low}" in err
+        assert "between" not in err
+
 
 # Runs in a fresh interpreter, so that no module loaded by another test counts.
 _START_UP_SCRIPT = """
@@ -322,11 +367,15 @@ for argv in (["charpoly", "--n", "6"], ["table", "--to", "6"], ["bipartite", "--
         assert cli.main(argv) == 0, argv
 heavy = ("numpy", "multiprocessing", "concurrent.futures.process")
 loaded = [name for name in heavy if name in sys.modules]
-from pairsum.oracle import finite_field_count, whitney_chi
+from pairsum.oracle import finite_field_count
+ffield = finite_field_count(3, 5)
+with contextlib.redirect_stdout(io.StringIO()):
+    verify_code = cli.main(["verify", "--n", "3", "--workers", "2"])
 print(json.dumps({
     "loaded": loaded,
-    "ffield": finite_field_count(3, 5),
-    "whitney_pooled_matches": whitney_chi(3, workers=2) == whitney_chi(3),
+    "ffield": ffield,
+    "verify_code": verify_code,
+    "process_pool_after_verify": [name for name in heavy[1:] if name in sys.modules],
 }))
 """
 
@@ -341,4 +390,6 @@ def test_commands_without_oracles_load_no_numpy_or_process_pool():
     assert report["loaded"] == []
     # the oracles still run once they import what they need
     assert report["ffield"] == 8
-    assert report["whitney_pooled_matches"] is True
+    # a pooled verify runs its oracles in threads, never in processes
+    assert report["verify_code"] == 0
+    assert report["process_pool_after_verify"] == []

@@ -98,8 +98,11 @@ class TestWhitneyChi:
         with pytest.raises(ValueError):
             whitney_chi(0)
 
-    def test_worker_determinism(self):
-        assert whitney_chi(3, workers=1) == whitney_chi(3, workers=2)
+    def test_rank_six_past_the_guard(self):
+        from pairsum.central import Mode
+        from pairsum.charpoly import chi
+
+        assert whitney_chi(6, limit=6) == chi(6, Mode.CORRECTED)
 
 
 class RecordingExecutor:
@@ -125,22 +128,11 @@ class TestPoolSize:
     @pytest.fixture
     def recorded(self, monkeypatch):
         RecordingExecutor.sizes = []
-        # the pools are imported inside the functions that start them, so
-        # patch them where that import finds them
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        # the pool is imported inside the function that starts it, so patch
+        # it where that import finds it
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
         return RecordingExecutor.sizes
-
-    def test_subset_scan_clamped_to_cpus(self, recorded):
-        assert whitney_chi(3, workers=10_000) == whitney_chi(3)
-        assert central_census(3, workers=10_000) == central_census(3)
-        assert recorded == [4, 4]
-
-    def test_subset_scan_clamped_to_tasks(self, recorded, monkeypatch):
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
-        whitney_chi(1, workers=10_000)  # two walls: 2^2 tasks
-        assert recorded == [4]
 
     def test_point_count_clamped_to_slices(self, recorded, monkeypatch):
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
@@ -153,7 +145,6 @@ class TestPoolSize:
 
     def test_serial_below_two(self, recorded):
         for workers in (1, 0, -3):
-            whitney_chi(2, workers=workers)
             finite_field_count(2, 5, workers=workers)
         assert recorded == []
 
@@ -194,6 +185,13 @@ class TestFiniteFieldCount:
             count = finite_field_count(6, q)
             assert corrected(q) == count, q
             assert paper(q) != count, q
+
+    def test_primes_beyond_one_byte(self):
+        # a row sum can exceed 255 here, so it needs a wider type than uint8
+        from pairsum.charpoly import chi
+
+        for n, q in ((2, 257), (3, 263)):
+            assert finite_field_count(n, q) == chi(n)(q), (n, q)
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
@@ -278,6 +276,31 @@ class TestEnumerateGraphs:
         with pytest.raises(ValueError):
             enumerate_graphs(0)
 
+    def test_order_seven_past_the_guard(self):
+        from pairsum.graphcounts import (
+            bipartite_no_isolated_series,
+            connected_bipartite_counts,
+            connected_graph_counts,
+            counts_from_egf,
+            default_caps,
+            graphs_no_isolated_series,
+        )
+
+        caps = default_caps(7)
+        census = enumerate_graphs(7, limit=7)
+        assert census.total() == 2**21
+        views = (
+            (connected_bipartite_counts(caps), census.connected_bipartite_by_size()),
+            (connected_graph_counts(caps), census.connected_by_size()),
+            (counts_from_egf(graphs_no_isolated_series(caps)), census.no_isolated_by_size()),
+            (
+                counts_from_egf(bipartite_no_isolated_series(caps)),
+                census.bipartite_no_isolated_by_size(),
+            ),
+        )
+        for table, brute in views:
+            assert {k: v for (m, k), v in table.items() if m == 7} == brute
+
 
 class TestCentralCensus:
     def test_rank_two_census(self):
@@ -298,5 +321,8 @@ class TestCentralCensus:
                 )
                 assert signed == poly.coefficient(n - r), (n, r)
 
-    def test_worker_determinism(self):
-        assert central_census(3, workers=1) == central_census(3, workers=2)
+    def test_rank_six_past_the_guard(self):
+        from pairsum.central import Mode, extract_counts, gamma_product
+
+        gamma = extract_counts(gamma_product(6, Mode.CORRECTED))
+        assert central_census(6, limit=6) == gamma.rank_cardinality_table(6)

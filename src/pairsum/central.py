@@ -23,6 +23,16 @@ integers.  A type-0 component on k vertices has rank k - 1 and every other
 component has full rank, so a graph on m vertices with v type-0 components
 has rank m - v; :func:`extract_counts` re-indexes by that rank.
 
+The characteristic polynomial reads Gamma only through
+sum_c (-1)^c count(m, c, v), that is at y = -1.  Setting y = -1 is a ring
+homomorphism, so it commutes with the labeled product, exp and log:
+:func:`signed_gamma_product` runs the same four factors on base tables
+specialised at y = -1, whose entries are keyed (0, v).  It drops the
+cardinality dimension, which is what made the full product grow as n^6,
+and is the path every command of the CLI takes.  :func:`gamma_product`
+keeps the full trivariate Gamma of the paper for the Whitney numbers
+(rank and cardinality) that the tests check against the subset census.
+
 The type-1 factor exists in two variants, selected by :class:`Mode`.  The
 published closed form subtracts the bipartite isolated-vertex-free series
 from the all-graphs one, which counts every non-bipartite graph including
@@ -43,10 +53,9 @@ from . import labeled
 from .graphcounts import (
     ConsistencyError,
     CountTable,
-    bipartite_no_isolated_table,
     connected_bipartite_table,
     connected_table,
-    no_isolated_table,
+    half_log,
     without_single_vertex,
 )
 from .labeled import Labeled
@@ -68,16 +77,79 @@ def cardinality_cap(n: int) -> int:
     return comb(n, 2) + n
 
 
+def _factors(
+    cb: Labeled, conn: Labeled, g2: Labeled, g3c: Labeled, mode: Mode, cap: int
+) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
+    """The factors G0, G1, G2, G3 built from base tables on vertex counts 0..n.
+
+    cb counts connected bipartite graphs, conn connected graphs, g2 isolated
+    colored vertices and g3c connected type-3 graphs.  Given the full tables
+    this is the factorisation of Gamma; given the tables at y = -1 it is the
+    same factorisation at y = -1, which commutes with product, exp and log.
+
+    G0 is exp[z * (cb minus x)], G1 is described at :func:`gamma1`, G2 is
+    g2 and G3 is exp(g3c).
+    """
+    bipartite = without_single_vertex(cb)
+    marked = [{(c, 1): count for (c, _), count in entry.items()} for entry in bipartite]
+    if mode is Mode.PAPER:
+        g1 = labeled.difference(
+            labeled.exp(without_single_vertex(conn), cap), labeled.exp(bipartite, cap)
+        )
+        g1[0] = dict(labeled.ONE)
+    elif mode is Mode.CORRECTED:
+        g1 = labeled.exp(labeled.difference(conn, cb), cap)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return labeled.exp(marked, cap), g1, g2, labeled.exp(g3c, cap)
+
+
+def _product(factors: Tuple[Labeled, Labeled, Labeled, Labeled], cap: int) -> Labeled:
+    g0, g1, g2, g3 = factors
+    # the z-free factors first: G0, the one factor with z, enters one product
+    flat = labeled.product(labeled.product(g1, g2, cap), g3, cap)
+    return labeled.product(flat, g0, cap)
+
+
+def _full_tables(n: int) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
+    """The base tables of Gamma, resolved by cardinality."""
+    cap = cardinality_cap(n)
+    return (
+        connected_bipartite_table(n, cap),
+        connected_table(n, cap),
+        gamma2(n),
+        gamma3_connected(n),
+    )
+
+
+def _signed_tables(n: int) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
+    """The base tables at y = -1, every entry keyed (0, v).
+
+    Bicolored graphs sum to 1 at m = 0 and 2 after: by the binomial theorem
+    only the two colorings with an empty side leave a signed edge sum.  All
+    graphs sum to [m <= 1].  Isolated colored vertices give (-2)^m.  A
+    connected type-3 graph is a connected bipartite graph with t >= 1
+    colored vertices, so it sums to 2 cb(m) ((1 - 1)^m - 1) = -2 cb(m).
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    cb = half_log([{(0, 0): 1 if m == 0 else 2} for m in range(n + 1)], 0)
+    conn = labeled.log([{(0, 0): 1} if m <= 1 else {} for m in range(n + 1)], 0)
+    g2 = [{(0, 0): (-2) ** m} for m in range(n + 1)]
+    g3c = [
+        {key: -2 * s for key, s in entry.items()} if m >= 2 else {}
+        for m, entry in enumerate(cb)
+    ]
+    return cb, conn, g2, g3c
+
+
 def gamma0(n: int) -> Labeled:
     """Type-0 factor: exp[z * (connected bipartite minus x)].
 
     The single vertex is left out: an uncolored isolated vertex is not a
     wall, so it belongs to no component and is planted later.
     """
-    cap = cardinality_cap(n)
-    components = without_single_vertex(connected_bipartite_table(n, cap))
-    marked = [{(c, 1): count for (c, _), count in entry.items()} for entry in components]
-    return labeled.exp(marked, cap)
+    return _factors(*_full_tables(n), Mode.CORRECTED, cardinality_cap(n))[0]
 
 
 def gamma1(n: int, mode: Mode = Mode.CORRECTED) -> Labeled:
@@ -90,19 +162,7 @@ def gamma1(n: int, mode: Mode = Mode.CORRECTED) -> Labeled:
     to order 4; the first divergence is a triangle plus a disjoint edge at
     order 5.
     """
-    cap = cardinality_cap(n)
-    if mode is Mode.PAPER:
-        series = labeled.difference(
-            no_isolated_table(n, cap), bipartite_no_isolated_table(n, cap)
-        )
-        series[0] = dict(labeled.ONE)
-        return series
-    if mode is Mode.CORRECTED:
-        connected_nonbip = labeled.difference(
-            connected_table(n, cap), connected_bipartite_table(n, cap)
-        )
-        return labeled.exp(connected_nonbip, cap)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _factors(*_full_tables(n), mode, cardinality_cap(n))[1]
 
 
 def gamma2(n: int) -> Labeled:
@@ -142,21 +202,32 @@ def gamma3_connected(n: int) -> Labeled:
 
 def gamma3(n: int) -> Labeled:
     """Type-3 factor: exp of the connected type-3 series."""
-    return labeled.exp(gamma3_connected(n), cardinality_cap(n))
+    return _factors(*_full_tables(n), Mode.CORRECTED, cardinality_cap(n))[3]
 
 
 def gamma_product(n: int, mode: Mode = Mode.CORRECTED) -> dict[Tuple[int, int, int], int]:
     """The full central-graph series Gamma = G0*G1*G2*G3 on at most n vertices,
     flattened to {(vertices m, cardinality c, type-0 components v): count}."""
     cap = cardinality_cap(n)
-    # the z-free factors first: G0, the one factor with z, enters one product
-    flat = labeled.product(labeled.product(gamma1(n, mode), gamma2(n), cap), gamma3(n), cap)
-    series = labeled.product(flat, gamma0(n), cap)
+    series = _product(_factors(*_full_tables(n), mode, cap), cap)
     return {
         (m, c, v): count
         for m, entry in enumerate(series)
         for (c, v), count in entry.items()
     }
+
+
+def signed_gamma_product(
+    n: int, mode: Mode = Mode.CORRECTED
+) -> dict[Tuple[int, int], int]:
+    """Gamma at y = -1 on at most n vertices, flattened to
+    {(vertices m, type-0 components v): sum_c (-1)^c count(m, c, v)}.
+
+    The same factors and products as :func:`gamma_product`, run on the base
+    tables at y = -1, so no entry carries a cardinality.
+    """
+    series = _product(_factors(*_signed_tables(n), mode, 0), 0)
+    return {(m, v): s for m, entry in enumerate(series) for (_, v), s in entry.items()}
 
 
 class GammaCoefficients:

@@ -29,6 +29,9 @@ from .graphcounts import (
     graphs_no_isolated_series,
 )
 from .oracle import (
+    GRAPH_CENSUS_LIMIT,
+    POINT_BUDGET,
+    SUBSET_SCAN_LIMIT,
     default_verification_primes,
     enumerate_graphs,
     finite_field_count,
@@ -226,7 +229,7 @@ def _cmd_bipartite(args: argparse.Namespace) -> int:
     _check_range("--to", n_max, 1, DEFAULT_MAX_N)
     counts = connected_bipartite_counts(default_caps(n_max))
     brute: dict[int, dict[int, int]] = {}
-    if n_max <= 6:
+    if n_max <= GRAPH_CENSUS_LIMIT:
         for n in range(1, n_max + 1):
             brute[n] = enumerate_graphs(n).connected_bipartite_by_size()
     rows = []
@@ -280,10 +283,11 @@ def _compare(computed: IntPolynomial, reference: IntPolynomial, label: str) -> d
 
 
 def _verify_whitney(n: int, polys: dict[str, IntPolynomial]) -> dict:
-    if n > 5:
+    if n > SUBSET_SCAN_LIMIT:
         return {
             "status": "skipped",
-            "reason": "whitney oracle enumerates all wall subsets and is guarded at n <= 5",
+            "reason": "whitney oracle enumerates all wall subsets and is guarded at "
+            f"n <= {SUBSET_SCAN_LIMIT}",
         }
     oracle_poly = whitney_chi(n)
     section = {
@@ -301,6 +305,12 @@ def _verify_whitney(n: int, polys: dict[str, IntPolynomial]) -> dict:
 def _verify_ffield(
     n: int, polys: dict[str, IntPolynomial], primes: Sequence[int], workers: int
 ) -> dict:
+    if not primes:
+        return {
+            "status": "skipped",
+            "reason": "no prime at least 5 has q^n within the budget of "
+            f"{POINT_BUDGET} points",
+        }
     rows = []
     failed = False
     for q in primes:
@@ -341,10 +351,11 @@ def _verify_ffield(
 
 
 def _verify_graphs(n: int) -> dict:
-    if n > 6:
+    if n > GRAPH_CENSUS_LIMIT:
         return {
             "status": "skipped",
-            "reason": "graph census enumerates all 2^C(n,2) graphs and is guarded at n <= 6",
+            "reason": "graph census enumerates all 2^C(n,2) graphs and is guarded at "
+            f"n <= {GRAPH_CENSUS_LIMIT}",
         }
     census = enumerate_graphs(n)
     caps = default_caps(n)
@@ -418,7 +429,9 @@ def _verify_report(
                 )
         elif name == "ffield":
             section = _verify_ffield(n, polys, primes, workers)
-            checked = checked or any(row["status"] == "ran" for row in section["primes"])
+            checked = checked or any(
+                row["status"] == "ran" for row in section.get("primes", ())
+            )
             corrected_failed = corrected_failed or section.get("failed", False)
         elif name == "graphs":
             section = _verify_graphs(n)

@@ -124,15 +124,14 @@ def connected_table(n: int, cap: int) -> Labeled:
     return labeled.log(all_graphs_table(n, cap), cap)
 
 
-def connected_bipartite_table(n: int, cap: int) -> Labeled:
-    """Connected labeled bipartite graphs: half the log of the bicolored table.
+def half_log(bicolored: Labeled, cap: int) -> Labeled:
+    """Connected bipartite graphs from a bicolored table: half its log.
 
     An odd entry in that log means the bicolored table is wrong, so it raises
     ConsistencyError instead of rounding.
     """
-    doubled = labeled.log(bicolored_table(n, cap), cap)
     halved: Labeled = []
-    for m, entry in enumerate(doubled):
+    for m, entry in enumerate(labeled.log(bicolored, cap)):
         for (k, _), value in entry.items():
             if value % 2:
                 raise ConsistencyError(
@@ -140,6 +139,11 @@ def connected_bipartite_table(n: int, cap: int) -> Labeled:
                 )
         halved.append({key: value // 2 for key, value in entry.items()})
     return halved
+
+
+def connected_bipartite_table(n: int, cap: int) -> Labeled:
+    """Connected labeled bipartite graphs: half the log of the bicolored table."""
+    return half_log(bicolored_table(n, cap), cap)
 
 
 def no_isolated_table(n: int, cap: int) -> Labeled:

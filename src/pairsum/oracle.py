@@ -34,6 +34,12 @@ from typing import Any, Callable, Hashable, Iterable, Optional, Sequence, Tuple
 from .charpoly import IntPolynomial
 from .graphcounts import CountTable
 
+# Default guards: the largest n each exhaustive oracle runs at, and the most
+# points the finite-field count visits.
+SUBSET_SCAN_LIMIT = 5
+GRAPH_CENSUS_LIMIT = 6
+POINT_BUDGET = 150_000_000
+
 Row = Tuple[int, ...]
 State = Tuple[Tuple[int, Row], ...]  # (pivot column, reduced row), sorted by pivot
 
@@ -198,7 +204,7 @@ def _guard(n: int, limit: int, what: str) -> None:
         )
 
 
-def central_census(n: int, *, limit: int = 5) -> CountTable:
+def central_census(n: int, *, limit: int = SUBSET_SCAN_LIMIT) -> CountTable:
     """Number of central wall subsets by (rank, cardinality).
 
     One forward pass over the walls.  The state of a central subset is the
@@ -221,7 +227,7 @@ def central_census(n: int, *, limit: int = 5) -> CountTable:
     return CountTable(totals)
 
 
-def whitney_chi(n: int, *, limit: int = 5) -> IntPolynomial:
+def whitney_chi(n: int, *, limit: int = SUBSET_SCAN_LIMIT) -> IntPolynomial:
     """Characteristic polynomial by direct summation over central subsets."""
     _guard(n, limit, "whitney_chi")
     coeffs = [0] * (n + 1)
@@ -258,13 +264,25 @@ def default_verification_primes(n: int) -> tuple[int, ...]:
     """Primes used when cross-checking chi(q) against point counts.
 
     Several primes guard against the possibility of a prime being too small
-    for the count to agree with the polynomial.
+    for the count to agree with the polynomial.  From n = 6 on these are the
+    up to three largest primes at least 5 whose q^n points fit the
+    :data:`POINT_BUDGET` (17, 19, 23 at n = 6; none from n = 12 on).
     """
-    return (5, 7, 11, 13) if n <= 4 else (23, 29, 31)
+    if n <= 4:
+        return (5, 7, 11, 13)
+    if n == 5:
+        return (23, 29, 31)
+    fitting = []
+    q = 5
+    while q**n <= POINT_BUDGET:
+        if is_verification_prime(q):
+            fitting.append(q)
+        q += 1
+    return tuple(fitting[-3:])
 
 
 def finite_field_count(
-    n: int, q: int, *, workers: int = 1, budget: int = 150_000_000
+    n: int, q: int, *, workers: int = 1, budget: int = POINT_BUDGET
 ) -> int:
     """Number of points of F_q^n lying on none of the walls.
 
@@ -376,7 +394,7 @@ def interpolated_chi(
     primes: Sequence[int],
     *,
     workers: int = 1,
-    budget: int = 150_000_000,
+    budget: int = POINT_BUDGET,
 ) -> IntPolynomial:
     """Characteristic polynomial reconstructed purely from point counts.
 
@@ -464,7 +482,7 @@ def _join_edge(state: GraphState, edge: tuple[int, int]) -> GraphState:
     return labels, colors, bipartite
 
 
-def enumerate_graphs(n: int, *, limit: int = 6) -> GraphCensus:
+def enumerate_graphs(n: int, *, limit: int = GRAPH_CENSUS_LIMIT) -> GraphCensus:
     """Classify all 2^C(n,2) labeled graphs on [n].
 
     One forward pass over the edges, the state of a graph being its

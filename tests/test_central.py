@@ -11,9 +11,11 @@ from itertools import combinations, product
 import pytest
 
 from pairsum import graphcounts
+from pairsum import central
 from pairsum.central import (
     GammaCoefficients,
     Mode,
+    cardinality_cap,
     extract_counts,
     gamma0,
     gamma1,
@@ -21,6 +23,7 @@ from pairsum.central import (
     gamma3,
     gamma3_connected,
     gamma_product,
+    signed_gamma_product,
 )
 from pairsum.graphcounts import ConsistencyError
 from pairsum.oracle import central_census
@@ -261,6 +264,51 @@ class TestGammaProduct:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             gamma_product(0)
+
+
+def at_minus_one(series):
+    """Each entry of a labeled-count series summed over c with sign (-1)^c."""
+    out = []
+    for entry in series:
+        sums = {}
+        for (c, v), count in entry.items():
+            sums[(0, v)] = sums.get((0, v), 0) + (-count if c % 2 else count)
+        out.append({key: s for key, s in sums.items() if s})
+    return out
+
+
+class TestSignedProduct:
+    def test_base_tables_are_the_full_tables_at_minus_one(self):
+        for n in range(1, 11):
+            full = central._full_tables(n)
+            signed = central._signed_tables(n)
+            assert [at_minus_one(table) for table in full] == list(signed), n
+
+    def test_factors_are_the_full_factors_at_minus_one(self):
+        for mode in Mode:
+            for n in range(1, 11):
+                full = central._factors(*central._full_tables(n), mode, cardinality_cap(n))
+                signed = central._factors(*central._signed_tables(n), mode, 0)
+                assert [at_minus_one(f) for f in full] == list(signed), (mode, n)
+
+    def test_product_is_the_full_product_at_minus_one(self):
+        for mode in Mode:
+            for n in range(1, 11):
+                sums = {}
+                for (m, c, v), count in gamma_product(n, mode).items():
+                    sums[(m, v)] = sums.get((m, v), 0) + (-count if c % 2 else count)
+                expected = {key: s for key, s in sums.items() if s}
+                assert signed_gamma_product(n, mode) == expected, (mode, n)
+
+    def test_worked_values(self):
+        # the rank-two product of TestGammaProduct at y = -1
+        assert signed_gamma_product(2) == {(0, 0): 1, (1, 0): -2, (2, 0): 6, (2, 1): -1}
+
+    def test_invalid_n_and_mode(self):
+        with pytest.raises(ValueError):
+            signed_gamma_product(0)
+        with pytest.raises(ValueError):
+            signed_gamma_product(3, "corrected")
 
 
 class TestExtractCounts:

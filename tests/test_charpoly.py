@@ -2,7 +2,7 @@
 
 import pytest
 
-from pairsum.central import Mode
+from pairsum.central import Mode, extract_counts, gamma_product
 from pairsum.charpoly import (
     ChamberCounts,
     IntPolynomial,
@@ -69,6 +69,18 @@ class TestChi:
         with pytest.raises(ValueError):
             chi(0)
 
+    def test_matches_cardinality_resolved_assembly(self):
+        # sum_c (-1)^c over the full (rank, cardinality) table of Gamma
+        for mode in Mode:
+            for n in range(1, 16):
+                gamma = extract_counts(
+                    gamma_product(n, mode), check_rank_bound=mode is Mode.CORRECTED
+                )
+                coeffs = [0] * (n + 1)
+                for (r, c), count in gamma.rank_cardinality_table(n).items():
+                    coeffs[n - r] += -count if c % 2 else count
+                assert chi(n, mode) == IntPolynomial(coeffs), (mode, n)
+
     def test_structure_through_rank_eight(self):
         for n in range(1, 9):
             poly = chi(n)
@@ -128,8 +140,8 @@ def stirling_closed_form(n, rows):
 
 class TestClosedForm:
     def test_corrected_chi_matches_stirling_closed_form(self):
-        rows = stirling2_rows(20)
-        for n in range(1, 21):
+        rows = stirling2_rows(60)
+        for n in (*range(1, 21), 60):
             assert chi(n) == stirling_closed_form(n, rows), n
 
     def test_closed_form_reproduces_worked_examples(self):

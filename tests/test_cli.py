@@ -271,7 +271,7 @@ class TestVerify:
         # every prime's q^7 exceeds the point budget, so no count runs
         code, out, _ = run(
             capsys, "verify", "--n", "7", "--oracles", "ffield", "--max-n", "7",
-            "--format", "json",
+            "--primes", "29,31,37", "--format", "json",
         )
         assert code == 1
         report = json.loads(out)
@@ -279,6 +279,42 @@ class TestVerify:
             "skipped"
         ] * 3
         assert report["result"] == "SKIPPED"
+
+    def test_default_primes_check_rank_seven(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--n", "7", "--oracles", "ffield", "--max-n", "7",
+            "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)["oracles"]["ffield"]["primes"]
+        assert [(row["q"], row["corrected"]) for row in rows] == [
+            (7, "PASS"), (11, "PASS"), (13, "PASS")
+        ]
+
+    def test_no_prime_within_budget_is_skipped(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--n", "12", "--oracles", "ffield", "--format", "json"
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["oracles"]["ffield"] == {
+            "status": "skipped",
+            "reason": "no prime at least 5 has q^n within the budget of 150000000 points",
+        }
+        assert report["result"] == "SKIPPED"
+
+    def test_guard_reasons(self, capsys):
+        _, out, _ = run(
+            capsys, "verify", "--n", "7", "--oracles", "whitney,graphs", "--max-n", "7",
+            "--format", "json",
+        )
+        oracles = json.loads(out)["oracles"]
+        assert oracles["whitney"]["reason"] == (
+            "whitney oracle enumerates all wall subsets and is guarded at n <= 5"
+        )
+        assert oracles["graphs"]["reason"] == (
+            "graph census enumerates all 2^C(n,2) graphs and is guarded at n <= 6"
+        )
 
     def test_nothing_checked_text_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "6", "--oracles", "whitney")

@@ -9,6 +9,7 @@ import pytest
 from pairsum import oracle
 from pairsum.charpoly import IntPolynomial
 from pairsum.oracle import (
+    POINT_BUDGET,
     build_arrangement,
     central_census,
     default_verification_primes,
@@ -213,6 +214,13 @@ class TestFiniteFieldCount:
     def test_default_primes(self):
         assert default_verification_primes(3) == (5, 7, 11, 13)
         assert default_verification_primes(5) == (23, 29, 31)
+
+    def test_default_primes_fit_the_budget_from_rank_six(self):
+        assert default_verification_primes(6) == (17, 19, 23)
+        assert default_verification_primes(7) == (7, 11, 13)
+        assert default_verification_primes(12) == ()
+        for n in range(6, 13):
+            assert all(q**n <= POINT_BUDGET for q in default_verification_primes(n))
 
 
 class TestInterpolation:

@@ -92,15 +92,14 @@ def _factors(
     """
     bipartite = without_single_vertex(cb)
     marked = [{(c, 1): count for (c, _), count in entry.items()} for entry in bipartite]
-    if mode is Mode.PAPER:
+    # Mode(mode) accepts the member or its value and raises ValueError otherwise
+    if Mode(mode) is Mode.PAPER:
         g1 = labeled.difference(
             labeled.exp(without_single_vertex(conn), cap), labeled.exp(bipartite, cap)
         )
         g1[0] = dict(labeled.ONE)
-    elif mode is Mode.CORRECTED:
-        g1 = labeled.exp(labeled.difference(conn, cb), cap)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        g1 = labeled.exp(labeled.difference(conn, cb), cap)
     return labeled.exp(marked, cap), g1, g2, labeled.exp(g3c, cap)
 
 

@@ -5,7 +5,8 @@ Three oracles, none of which touches the generating-function pipeline:
 * :func:`whitney_chi` sums (-1)^|B| t^(n-rank B) over every central subset
   of walls, read off :func:`central_census` (exact integer elimination;
   guarded at n <= 5, n = 6 takes about a second);
-* :func:`finite_field_count` counts the points of F_q^n lying on no wall;
+* :func:`finite_field_count` counts the points of F_q^n lying on no wall,
+  one sorted point per orbit of the symmetric group on the coordinates;
 * :func:`enumerate_graphs` classifies every labeled graph on up to six
   vertices by size, components, bipartite components and isolated vertices.
 
@@ -14,8 +15,8 @@ The subset census and the graph census are forward passes: they add one wall
 decides the rest of the count (the flat a central subset cuts out; the
 components and 2-colourings of a graph).  Subsets that reach the same state
 are counted together, so the work grows with the number of states, not with
-the 2^(walls) or 2^(edges) subsets they summarize.  Both passes are serial
-and their results do not depend on any worker count.
+the 2^(walls) or 2^(edges) subsets they summarize.  Every oracle is serial,
+pure Python and deterministic.
 
 Centrality is decided by exact linear algebra: a wall set has a common
 point exactly when the rank of the stacked normal matrix equals the rank of
@@ -24,7 +25,6 @@ the matrix augmented with the constants.  No floating point anywhere.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -255,11 +255,6 @@ def is_verification_prime(q: int) -> bool:
     return q >= 5 and _is_prime(q)
 
 
-def _pool_size(workers: int, tasks: int) -> int:
-    """Workers actually started: never more than the tasks or the CPUs."""
-    return min(workers, tasks, os.cpu_count() or 1)
-
-
 def default_verification_primes(n: int) -> tuple[int, ...]:
     """Primes used when cross-checking chi(q) against point counts.
 
@@ -281,16 +276,16 @@ def default_verification_primes(n: int) -> tuple[int, ...]:
     return tuple(fitting[-3:])
 
 
-def finite_field_count(
-    n: int, q: int, *, workers: int = 1, budget: int = POINT_BUDGET
-) -> int:
+def finite_field_count(n: int, q: int, *, budget: int = POINT_BUDGET) -> int:
     """Number of points of F_q^n lying on none of the walls.
 
-    The count runs over one slice per value of the leading coordinate, so
-    memory stays at O(q^(n-1)) booleans; each slice is reduced by matrix
-    products, one axis at a time, without copying the shared mask.  Slices
-    are summed in coordinate order, which keeps the result identical for any
-    worker count.
+    The walls are invariant under permuting coordinates, so the count walks
+    one sorted point per orbit of the symmetric group and weights it by the
+    orbit's size n! / prod k_a!, where k_a is how often value a occurs.  A
+    point off the walls uses no 0 or 1, never both a and its partner 1 - a,
+    and 1/2 (its own partner) at most once; the walk takes the values in
+    increasing order and blocks each partner as it goes.  The last group of
+    equal values is counted, not visited, so no step scans F_q.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -301,50 +296,26 @@ def finite_field_count(
             f"q^n = {q**n} exceeds the budget of {budget} points; "
             "raise budget= explicitly if this size is intended"
         )
-    if n == 1:
-        return q - 2  # every value except 0 and 1
-    import numpy as np
+    half = (q + 1) // 2
 
-    values = np.arange(q, dtype=np.int64)
-    unit_ok = (values != 0) & (values != 1)
-    pair_ok = (values[:, None] + values[None, :]) % q != 1
-    shape = (q,) * (n - 1)
+    def walk(low: int, left: int, weight: int, blocked: tuple[int, ...]) -> int:
+        # the last group: all `left` remaining coordinates on one value >= low
+        free = q - low - sum(v >= low for v in blocked)
+        if left > 1 and half >= low:
+            free -= 1  # 1/2 twice lies on x_i + x_j = 1
+        total = weight * free
+        if left == 1:
+            return total
+        # or k < left of them on a value b, and the rest on values above b
+        for b in range(low, q - 1):
+            if b in blocked:
+                continue
+            after = blocked + (q + 1 - b,) if b < half else blocked
+            for k in range(1, 2 if b == half else left):
+                total += walk(b + 1, left - k, weight * comb(left, k), after)
+        return total
 
-    def axis_view(arr: np.ndarray, axis: int) -> np.ndarray:
-        view_shape = [1] * (n - 1)
-        view_shape[axis] = q
-        return arr.reshape(view_shape)
-
-    base = np.ones(shape, dtype=bool)
-    for axis in range(n - 1):
-        base &= axis_view(unit_ok, axis)
-    for a1, a2 in combinations(range(n - 1), 2):
-        view_shape = [1] * (n - 1)
-        view_shape[a1] = q
-        view_shape[a2] = q
-        base &= pair_ok.reshape(view_shape)
-
-    rows = base.reshape(-1, q).view(np.uint8)
-
-    def slice_count(a: int) -> int:
-        if a == 0 or a == 1:
-            return 0
-        # the x_1 + x_i = 1 walls against the lead value forbid one value
-        # on every other axis; sum the allowed values one axis at a time
-        keep = values != (1 - a) % q
-        # a row sum is at most q, so the smallest type holding q cannot overflow
-        part = rows @ keep.astype(np.min_scalar_type(q))
-        for _ in range(n - 2):
-            part = part.reshape(-1, q).astype(np.int64) @ keep
-        return int(part.sum())
-
-    size = _pool_size(workers, q)
-    if size <= 1:
-        return sum(slice_count(a) for a in range(q))
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=size) as pool:
-        return sum(pool.map(slice_count, range(q)))
+    return walk(2, n, 1, ())
 
 
 def interpolate_counts(points: Sequence[tuple[int, int]], n: int) -> IntPolynomial:
@@ -390,11 +361,7 @@ def interpolate_counts(points: Sequence[tuple[int, int]], n: int) -> IntPolynomi
 
 
 def interpolated_chi(
-    n: int,
-    primes: Sequence[int],
-    *,
-    workers: int = 1,
-    budget: int = POINT_BUDGET,
+    n: int, primes: Sequence[int], *, budget: int = POINT_BUDGET
 ) -> IntPolynomial:
     """Characteristic polynomial reconstructed purely from point counts.
 
@@ -403,7 +370,7 @@ def interpolated_chi(
     only seven small primes) and validates every coefficient at once.
     """
     points = [
-        (q, finite_field_count(n, q, workers=workers, budget=budget))
+        (q, finite_field_count(n, q, budget=budget))
         for q in sorted(set(primes))
     ]
     return interpolate_counts(points, n)

@@ -308,7 +308,7 @@ class TestSignedProduct:
         with pytest.raises(ValueError):
             signed_gamma_product(0)
         with pytest.raises(ValueError):
-            signed_gamma_product(3, "corrected")
+            signed_gamma_product(3, "bogus")
 
 
 class TestExtractCounts:

@@ -69,6 +69,15 @@ class TestChi:
         with pytest.raises(ValueError):
             chi(0)
 
+    def test_mode_by_value(self):
+        # Mode is a str enum: its values select the same variant as its members
+        for n in (5, 7):
+            assert chi(n, "paper") == chi(n, Mode.PAPER)
+            assert chi(n, "corrected") == chi(n, Mode.CORRECTED)
+        assert chi(7, "paper") != chi(7, "corrected")
+        with pytest.raises(ValueError):
+            chi(3, "bogus")
+
     def test_matches_cardinality_resolved_assembly(self):
         # sum_c (-1)^c over the full (rank, cardinality) table of Gamma
         for mode in Mode:

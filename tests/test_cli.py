@@ -330,7 +330,7 @@ class TestFailureExitCodes:
         from pairsum.charpoly import IntPolynomial
 
         monkeypatch.setattr(
-            cli_module, "whitney_chi", lambda n, workers=1: IntPolynomial([0, 1])
+            cli_module, "whitney_chi", lambda n: IntPolynomial([0, 1])
         )
         code, out, _ = run(capsys, "verify", "--n", "2", "--oracles", "whitney")
         assert code == 1
@@ -401,17 +401,20 @@ from pairsum import cli
 for argv in (["charpoly", "--n", "6"], ["table", "--to", "6"], ["bipartite", "--to", "6"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-heavy = ("numpy", "multiprocessing", "concurrent.futures.process")
+heavy = ("numpy", "multiprocessing", "concurrent.futures.process", "concurrent.futures.thread")
 loaded = [name for name in heavy if name in sys.modules]
 from pairsum.oracle import finite_field_count
 ffield = finite_field_count(3, 5)
 with contextlib.redirect_stdout(io.StringIO()):
-    verify_code = cli.main(["verify", "--n", "3", "--workers", "2"])
+    verify_codes = [
+        cli.main(["verify", "--n", "3", "--workers", "2"]),
+        cli.main(["verify", "--n", "6", "--oracles", "ffield"]),
+    ]
 print(json.dumps({
     "loaded": loaded,
     "ffield": ffield,
-    "verify_code": verify_code,
-    "process_pool_after_verify": [name for name in heavy[1:] if name in sys.modules],
+    "verify_codes": verify_codes,
+    "loaded_after_verify": [name for name in heavy if name in sys.modules],
 }))
 """
 
@@ -424,8 +427,8 @@ def test_commands_without_oracles_load_no_numpy_or_process_pool():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["loaded"] == []
-    # the oracles still run once they import what they need
     assert report["ffield"] == 8
-    # a pooled verify runs its oracles in threads, never in processes
-    assert report["verify_code"] == 0
-    assert report["process_pool_after_verify"] == []
+    # the oracles, the point count included, run serially in pure Python:
+    # neither numpy nor a thread or process pool is ever loaded
+    assert report["verify_codes"] == [0, 0]
+    assert report["loaded_after_verify"] == []

@@ -1,13 +1,14 @@
 """Brute-force oracles: arrangement construction, exact centrality, subset
 expansion, finite-field counting and the graph census."""
 
-import concurrent.futures
+from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pairsum import oracle
-from pairsum.charpoly import IntPolynomial
+from pairsum.charpoly import IntPolynomial, chi
 from pairsum.oracle import (
     POINT_BUDGET,
     build_arrangement,
@@ -17,9 +18,14 @@ from pairsum.oracle import (
     finite_field_count,
     interpolate_counts,
     interpolated_chi,
+    is_verification_prime,
     rank_and_centrality,
     whitney_chi,
 )
+
+
+# primes at least 5 up to the largest q with q^2 inside the point budget
+FIELD_PRIMES = [q for q in range(5, 12242) if is_verification_prime(q)]
 
 
 def walls_by_label(n):
@@ -106,50 +112,6 @@ class TestWhitneyChi:
         assert whitney_chi(6, limit=6) == chi(6, Mode.CORRECTED)
 
 
-class RecordingExecutor:
-    """Stands in for a pool executor: records its size and maps serially, so
-    no process or thread is started."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        RecordingExecutor.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
-
-
-class TestPoolSize:
-    @pytest.fixture
-    def recorded(self, monkeypatch):
-        RecordingExecutor.sizes = []
-        # the pool is imported inside the function that starts it, so patch
-        # it where that import finds it
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
-        return RecordingExecutor.sizes
-
-    def test_point_count_clamped_to_slices(self, recorded, monkeypatch):
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
-        assert finite_field_count(2, 5, workers=10_000) == 6  # q = 5 slices
-        assert recorded == [5]
-
-    def test_point_count_clamped_to_cpus(self, recorded):
-        assert finite_field_count(2, 7, workers=10_000) == finite_field_count(2, 7)
-        assert recorded == [4]
-
-    def test_serial_below_two(self, recorded):
-        for workers in (1, 0, -3):
-            finite_field_count(2, 5, workers=workers)
-        assert recorded == []
-
-
 class TestFiniteFieldCount:
     def test_dimension_one(self):
         assert finite_field_count(1, 5) == 3
@@ -188,11 +150,39 @@ class TestFiniteFieldCount:
             assert paper(q) != count, q
 
     def test_primes_beyond_one_byte(self):
-        # a row sum can exceed 255 here, so it needs a wider type than uint8
-        from pairsum.charpoly import chi
-
         for n, q in ((2, 257), (3, 263)):
             assert finite_field_count(n, q) == chi(n)(q), (n, q)
+
+    def test_matches_every_point_checked_against_every_wall(self):
+        # the literal definition: scan F_q^n and test each wall modulo q
+        for n, q in [(n, q) for n in (1, 2, 3) for q in (5, 7, 11)] + [(4, 5)]:
+            walls = build_arrangement(n)
+            off = sum(
+                all(
+                    sum(a * x for a, x in zip(w.normal, point)) % q != w.constant
+                    for w in walls
+                )
+                for point in product(range(q), repeat=n)
+            )
+            assert finite_field_count(n, q) == off, (n, q)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sampled_from([q for q in FIELD_PRIMES if q**n <= POINT_BUDGET]),
+            )
+        )
+    )
+    def test_matches_chi_at_random_primes(self, sample):
+        n, q = sample
+        assert finite_field_count(n, q) == chi(n)(q)
+
+    def test_largest_field_within_the_budget(self):
+        # n = 2, q = 12241 has the most points of any prime inside the budget
+        assert 12241**2 <= POINT_BUDGET < 12251**2
+        assert finite_field_count(2, 12241) == chi(2)(12241)
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
@@ -205,11 +195,6 @@ class TestFiniteFieldCount:
     def test_budget_guard(self):
         with pytest.raises(ValueError, match="budget"):
             finite_field_count(8, 31)
-
-    def test_worker_determinism(self):
-        assert finite_field_count(3, 11, workers=1) == finite_field_count(
-            3, 11, workers=4
-        )
 
     def test_default_primes(self):
         assert default_verification_primes(3) == (5, 7, 11, 13)

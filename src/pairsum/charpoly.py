@@ -26,9 +26,8 @@ is (-1)^n chi_n(+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, Mapping, NamedTuple, Tuple
 
 from .central import Mode, signed_gamma_product
 
@@ -104,8 +103,7 @@ class IntPolynomial:
         return self._render(lambda p: "t" if p == 1 else f"t^{{{p}}}" if p >= 10 else f"t^{p}")
 
 
-@dataclass(frozen=True)
-class ChamberCounts:
+class ChamberCounts(NamedTuple):
     """Zaslavsky evaluations: total chambers and relatively bounded chambers.
 
     For a genuine arrangement total >= bounded >= 0 and total >= 1; the

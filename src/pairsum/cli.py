@@ -13,33 +13,16 @@ deterministic.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from math import comb
 from typing import Optional, Sequence
 
-from . import __version__
+from . import __version__, graphcounts
 from .central import Mode
 from .charpoly import IntPolynomial, chambers, chi, chi_table, signs_alternate
-from .graphcounts import (
-    bipartite_no_isolated_series,
-    connected_bipartite_counts,
-    connected_graph_counts,
-    counts_from_egf,
-    default_caps,
-    graphs_no_isolated_series,
-)
-from .oracle import (
-    GRAPH_CENSUS_LIMIT,
-    POINT_BUDGET,
-    SUBSET_SCAN_LIMIT,
-    default_verification_primes,
-    enumerate_graphs,
-    finite_field_count,
-    interpolate_counts,
-    is_verification_prime,
-    whitney_chi,
-)
-from .published import diff_polynomials, published_chamber_total, published_chi
+
+# The oracles, the published values and json are imported inside the
+# functions that use them, so that a command loads only the code it runs.
 
 DEFAULT_MAX_N = 12
 _ORACLE_NAMES = ("whitney", "ffield", "graphs")
@@ -54,6 +37,8 @@ def _str_coeffs(poly: IntPolynomial) -> list[str]:
 
 
 def _diff_entries(computed: IntPolynomial, reference: IntPolynomial) -> list[dict]:
+    from .published import diff_polynomials
+
     return [
         {"power": power, "computed": str(a), "published": str(b)}
         for power, a, b in diff_polynomials(computed, reference)
@@ -77,6 +62,8 @@ def _emit(text: str) -> int:
 
 
 def _emit_json(payload: dict) -> None:
+    import json
+
     sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
@@ -128,6 +115,8 @@ def _cmd_chambers(args: argparse.Namespace) -> int:
 
 
 def _table_rows(n_max: int, mode: Mode) -> list[dict]:
+    from .published import published_chamber_total, published_chi
+
     rows = []
     for n, poly in zip(range(2, n_max + 1), chi_table(n_max, mode)):
         sign = -1 if n % 2 else 1
@@ -227,9 +216,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_bipartite(args: argparse.Namespace) -> int:
     n_max = args.to
     _check_range("--to", n_max, 1, DEFAULT_MAX_N)
-    counts = connected_bipartite_counts(default_caps(n_max))
+    # no graph on n_max vertices has more than C(n_max, 2) edges
+    table = graphcounts.connected_bipartite_table(n_max, comb(n_max, 2))
+    counts = graphcounts.count_table(table)
     brute: dict[int, dict[int, int]] = {}
-    if n_max <= GRAPH_CENSUS_LIMIT:
+    if n_max <= graphcounts.GRAPH_CENSUS_LIMIT:
+        from .oracle import enumerate_graphs
+
         for n in range(1, n_max + 1):
             brute[n] = enumerate_graphs(n).connected_bipartite_by_size()
     rows = []
@@ -283,6 +276,9 @@ def _compare(computed: IntPolynomial, reference: IntPolynomial, label: str) -> d
 
 
 def _verify_whitney(n: int, polys: dict[str, IntPolynomial]) -> dict:
+    from .oracle import SUBSET_SCAN_LIMIT, whitney_chi
+    from .published import published_chi
+
     if n > SUBSET_SCAN_LIMIT:
         return {
             "status": "skipped",
@@ -305,6 +301,8 @@ def _verify_whitney(n: int, polys: dict[str, IntPolynomial]) -> dict:
 def _verify_ffield(
     n: int, polys: dict[str, IntPolynomial], primes: Sequence[int]
 ) -> dict:
+    from .oracle import POINT_BUDGET, finite_field_count, interpolate_counts
+
     if not primes:
         return {
             "status": "skipped",
@@ -351,45 +349,28 @@ def _verify_ffield(
 
 
 def _verify_graphs(n: int) -> dict:
-    if n > GRAPH_CENSUS_LIMIT:
+    if n > graphcounts.GRAPH_CENSUS_LIMIT:
         return {
             "status": "skipped",
             "reason": "graph census enumerates all 2^C(n,2) graphs and is guarded at "
-            f"n <= {GRAPH_CENSUS_LIMIT}",
+            f"n <= {graphcounts.GRAPH_CENSUS_LIMIT}",
         }
+    from .oracle import enumerate_graphs
+
     census = enumerate_graphs(n)
-    caps = default_caps(n)
+    cap = comb(n, 2)  # no graph on n vertices has more edges
     checks = []
-
-    def check(name: str, formula: dict[int, int], brute: dict[int, int]) -> None:
-        checks.append(
-            {"name": name, "result": "PASS" if formula == brute else "FAIL"}
-        )
-
-    table = connected_bipartite_counts(caps)
-    check(
-        "connected_bipartite",
-        {k: v for (m, k), v in table.items() if m == n},
-        census.connected_bipartite_by_size(),
-    )
-    table = connected_graph_counts(caps)
-    check(
-        "connected",
-        {k: v for (m, k), v in table.items() if m == n},
-        census.connected_by_size(),
-    )
-    table = counts_from_egf(graphs_no_isolated_series(caps))
-    check(
-        "no_isolated",
-        {k: v for (m, k), v in table.items() if m == n},
-        census.no_isolated_by_size(),
-    )
-    table = counts_from_egf(bipartite_no_isolated_series(caps))
-    check(
-        "bipartite_no_isolated",
-        {k: v for (m, k), v in table.items() if m == n},
-        census.bipartite_no_isolated_by_size(),
-    )
+    for name, build, brute in (
+        ("connected_bipartite", graphcounts.connected_bipartite_table,
+         census.connected_bipartite_by_size()),
+        ("connected", graphcounts.connected_table, census.connected_by_size()),
+        ("no_isolated", graphcounts.no_isolated_table, census.no_isolated_by_size()),
+        ("bipartite_no_isolated", graphcounts.bipartite_no_isolated_table,
+         census.bipartite_no_isolated_by_size()),
+    ):
+        table = graphcounts.count_table(build(n, cap))
+        formula = {k: v for (m, k), v in table.items() if m == n}
+        checks.append({"name": name, "result": "PASS" if formula == brute else "FAIL"})
     failed = any(c["result"] == "FAIL" for c in checks)
     return {"status": "ran", "checks": checks, "failed": failed}
 
@@ -397,6 +378,8 @@ def _verify_graphs(n: int) -> dict:
 def _verify_report(
     n: int, oracle_names: Sequence[str], primes: Sequence[int], workers: int
 ) -> dict:
+    from .published import published_chi
+
     polys = {
         "corrected": chi(n, Mode.CORRECTED),
         "paper": chi(n, Mode.PAPER),
@@ -522,6 +505,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"unknown oracle {name!r}; choose from {', '.join(_ORACLE_NAMES)}"
             )
+    repeated = sorted({name for name in oracle_names if oracle_names.count(name) > 1})
+    if repeated:
+        raise UsageError(
+            f"--oracles repeats {', '.join(repeated)}; list each oracle once"
+        )
+    from .oracle import default_verification_primes, is_verification_prime
+
     if args.primes:
         try:
             primes = tuple(int(s) for s in args.primes.split(","))

@@ -7,17 +7,25 @@ labeled-count tables (:mod:`pairsum.labeled`, entry m holding
 ``{(k, 0): count}``); the ``*_series`` functions convert a table to a
 :class:`TruncatedSeries` for callers that want the EGF itself, and
 :func:`counts_from_egf` converts back through a mandatory divisibility check.
+Only those EGF views and :func:`default_caps` import :mod:`pairsum.series`
+and :mod:`fractions`, so the integer tables load neither.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Iterable, Mapping, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Tuple
 
 from . import labeled
 from .labeled import Labeled
-from .series import TruncatedSeries, TruncationCaps
+
+if TYPE_CHECKING:
+    from .series import TruncatedSeries, TruncationCaps
+
+# The largest order oracle.enumerate_graphs classifies by default.  It lives
+# here, next to the tables it checks, so that callers can test it without
+# loading the oracles.
+GRAPH_CENSUS_LIMIT = 6
 
 
 class ConsistencyError(RuntimeError):
@@ -74,6 +82,8 @@ def default_caps(n: int) -> TruncationCaps:
     dy allows every edge plus one color wall per vertex, the largest
     cardinality any graph on n vertices can reach.
     """
+    from .series import TruncationCaps
+
     if n < 0:
         raise ValueError("n must be non-negative")
     return TruncationCaps(n, comb(n, 2) + n, 0)
@@ -166,6 +176,10 @@ def bipartite_no_isolated_table(n: int, cap: int) -> Labeled:
 
 
 def _egf(caps: TruncationCaps, build: Callable[[int, int], Labeled]) -> TruncatedSeries:
+    from fractions import Fraction
+
+    from .series import TruncatedSeries
+
     _require_no_z(caps)
     return TruncatedSeries(
         caps,
@@ -177,15 +191,16 @@ def _egf(caps: TruncationCaps, build: Callable[[int, int], Labeled]) -> Truncate
     )
 
 
+def count_table(table: Labeled) -> CountTable:
+    """An integer labeled-count table as a CountTable keyed (order, size)."""
+    return CountTable(
+        {(m, k): count for m, entry in enumerate(table) for (k, _), count in entry.items()}
+    )
+
+
 def _counts(caps: TruncationCaps, build: Callable[[int, int], Labeled]) -> CountTable:
     _require_no_z(caps)
-    return CountTable(
-        {
-            (m, k): count
-            for m, entry in enumerate(build(caps.dx, caps.dy))
-            for (k, _), count in entry.items()
-        }
-    )
+    return count_table(build(caps.dx, caps.dy))
 
 
 def bicolored_series(caps: TruncationCaps) -> TruncatedSeries:

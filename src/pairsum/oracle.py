@@ -25,27 +25,25 @@ the matrix augmented with the constants.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
-from typing import Any, Callable, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Any, Callable, Hashable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .charpoly import IntPolynomial
-from .graphcounts import CountTable
+from .graphcounts import GRAPH_CENSUS_LIMIT, CountTable
 
-# Default guards: the largest n each exhaustive oracle runs at, and the most
-# points the finite-field count visits.
+# Default guards: the largest n each exhaustive oracle runs at (the graph
+# census's, GRAPH_CENSUS_LIMIT, is in graphcounts), and the most points the
+# finite-field count visits.
 SUBSET_SCAN_LIMIT = 5
-GRAPH_CENSUS_LIMIT = 6
 POINT_BUDGET = 150_000_000
 
 Row = Tuple[int, ...]
 State = Tuple[Tuple[int, Row], ...]  # (pivot column, reduced row), sorted by pivot
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """One affine wall: normal . x = constant.
 
     kind is "pair" (x_i + x_j = 1), "zero" (x_i = 0) or "one" (x_i = 1);
@@ -379,8 +377,7 @@ def interpolated_chi(
 # -- exhaustive graph census -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphCensus:
+class GraphCensus(NamedTuple):
     """Classification of every labeled graph on a fixed vertex set.
 
     entries is keyed by (size, components, bipartite components, isolated

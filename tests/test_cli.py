@@ -243,11 +243,12 @@ class TestVerify:
     @pytest.fixture
     def no_work(self, monkeypatch):
         import pairsum.cli as cli_module
+        import pairsum.oracle as oracle_module
 
         def no_work(*args, **kwargs):
             raise AssertionError("verify started work before rejecting --primes")
 
-        monkeypatch.setattr(cli_module, "finite_field_count", no_work)
+        monkeypatch.setattr(oracle_module, "finite_field_count", no_work)
         monkeypatch.setattr(cli_module, "chi", no_work)
 
     def test_repeated_prime_is_usage_error(self, capsys, no_work):
@@ -257,6 +258,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "--primes repeats 5" in err
+
+    @pytest.mark.parametrize(
+        "oracles, repeated",
+        [("whitney,whitney", "whitney"), ("graphs,ffield,graphs,ffield", "ffield, graphs")],
+    )
+    def test_repeated_oracle_is_usage_error(self, capsys, no_work, oracles, repeated):
+        code, out, err = run(capsys, "verify", "--n", "5", "--oracles", oracles)
+        assert code == 2
+        assert out == ""
+        assert f"--oracles repeats {repeated}; list each oracle once" in err
 
     @pytest.mark.parametrize("primes", ["4,6,8", "5,9", "3", "1,7", "-5"])
     def test_prime_below_five_or_composite_is_usage_error(self, capsys, no_work, primes):
@@ -326,11 +337,11 @@ class TestVerify:
 class TestFailureExitCodes:
     def test_verify_fails_when_corrected_mode_disagrees(self, capsys, monkeypatch):
         # force an oracle disagreement to exercise the exit-1 contract
-        import pairsum.cli as cli_module
+        import pairsum.oracle as oracle_module
         from pairsum.charpoly import IntPolynomial
 
         monkeypatch.setattr(
-            cli_module, "whitney_chi", lambda n: IntPolynomial([0, 1])
+            oracle_module, "whitney_chi", lambda n: IntPolynomial([0, 1])
         )
         code, out, _ = run(capsys, "verify", "--n", "2", "--oracles", "whitney")
         assert code == 1
@@ -338,13 +349,12 @@ class TestFailureExitCodes:
         assert "whitney vs corrected: FAIL" in out
 
     def test_bipartite_mismatch_sets_exit_one(self, capsys, monkeypatch):
-        import pairsum.cli as cli_module
-        from pairsum.graphcounts import CountTable
+        import pairsum.graphcounts as graphcounts_module
 
         monkeypatch.setattr(
-            cli_module,
-            "connected_bipartite_counts",
-            lambda caps: CountTable({(2, 1): 7}),
+            graphcounts_module,
+            "connected_bipartite_table",
+            lambda n, cap: [{}, {}, {(1, 0): 7}],
         )
         code, out, _ = run(capsys, "bipartite", "--to", "2")
         assert code == 1
@@ -432,3 +442,60 @@ def test_commands_without_oracles_load_no_numpy_or_process_pool():
     # neither numpy nor a thread or process pool is ever loaded
     assert report["verify_codes"] == [0, 0]
     assert report["loaded_after_verify"] == []
+
+
+# Also a fresh interpreter: each command should import only the modules it runs.
+_LAZY_IMPORT_SCRIPT = """
+import contextlib, io, json, sys
+from pairsum import cli
+unused = ("pairsum.oracle", "pairsum.series", "dataclasses", "fractions")
+for argv in (
+    ["charpoly", "--n", "6"], ["chambers", "--n", "6"],
+    ["table", "--to", "12"], ["bipartite", "--to", "12"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+loaded = [name for name in unused if name in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    verify_code = cli.main(["verify", "--n", "5"])
+loaded_after_verify = [name for name in unused if name in sys.modules]
+import pairsum
+from pairsum import oracle
+try:
+    pairsum.no_such_name
+    missing = "resolved"
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({
+    "loaded": loaded,
+    "verify_code": verify_code,
+    "loaded_after_verify": loaded_after_verify,
+    "unresolved": [name for name in pairsum.__all__ if getattr(pairsum, name, None) is None],
+    "undisplayed": sorted(set(pairsum.__all__) - set(dir(pairsum))),
+    "oracle_is_submodule": oracle is sys.modules["pairsum.oracle"],
+    "missing": missing,
+}))
+"""
+
+
+def test_commands_import_only_the_modules_they_run():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORT_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    # charpoly, chambers, table and bipartite past the census limit need no
+    # oracle, no Fraction series and no dataclass
+    assert report["loaded"] == []
+    assert report["verify_code"] == 0
+    # verify loads the oracles (and fractions, for interpolation) but still
+    # neither the series layer nor dataclasses
+    assert "pairsum.oracle" in report["loaded_after_verify"]
+    assert "pairsum.series" not in report["loaded_after_verify"]
+    assert "dataclasses" not in report["loaded_after_verify"]
+    # the lazily resolved package keeps its whole public surface
+    assert report["unresolved"] == []
+    assert report["undisplayed"] == []
+    assert report["oracle_is_submodule"] is True
+    assert "no_such_name" in report["missing"]

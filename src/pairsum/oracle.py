@@ -4,9 +4,9 @@ Three oracles, none of which touches the generating-function pipeline:
 
 * :func:`whitney_chi` sums (-1)^|B| t^(n-rank B) over every central subset
   of walls, read off :func:`central_census` (exact integer elimination;
-  guarded at n <= 5, n = 6 takes about a second);
+  guarded at n <= 5, n = 6 takes about 0.2 s);
 * :func:`finite_field_count` counts the points of F_q^n lying on no wall,
-  one sorted point per orbit of the symmetric group on the coordinates;
+  by the partner classes {a, 1 - a} their coordinates take;
 * :func:`enumerate_graphs` classifies every labeled graph on up to six
   vertices by size, components, bipartite components and isolated vertices.
 
@@ -34,8 +34,9 @@ from .charpoly import IntPolynomial
 from .graphcounts import GRAPH_CENSUS_LIMIT, CountTable
 
 # Default guards: the largest n each exhaustive oracle runs at (the graph
-# census's, GRAPH_CENSUS_LIMIT, is in graphcounts), and the most points the
-# finite-field count visits.
+# census's, GRAPH_CENSUS_LIMIT, is in graphcounts), and the largest q^n the
+# finite-field count accepts.  The count costs O(n^2) at any q, so the budget
+# bounds no work: it fixes the default verify primes and skip reasons.
 SUBSET_SCAN_LIMIT = 5
 POINT_BUDGET = 150_000_000
 
@@ -188,7 +189,15 @@ def _forward_pass(
 
 
 def _arrangement_rows(n: int) -> list[Row]:
-    return [(*w.normal, w.constant) for w in build_arrangement(n)]
+    """The walls as augmented rows, vertex by vertex: for each v, x_v = 0,
+    x_v = 1, then x_u + x_v = 1 for every u < v.  A census does not depend on
+    the order, and this one keeps fewer flats alive at each step."""
+
+    def place(w: Hyperplane) -> tuple[int, int, int]:
+        return (w.i if w.j is None else w.j, ("zero", "one", "pair").index(w.kind), w.i)
+
+    walls = sorted(build_arrangement(n), key=place)
+    return [(*w.normal, w.constant) for w in walls]
 
 
 def _guard(n: int, limit: int, what: str) -> None:
@@ -277,13 +286,15 @@ def default_verification_primes(n: int) -> tuple[int, ...]:
 def finite_field_count(n: int, q: int, *, budget: int = POINT_BUDGET) -> int:
     """Number of points of F_q^n lying on none of the walls.
 
-    The walls are invariant under permuting coordinates, so the count walks
-    one sorted point per orbit of the symmetric group and weights it by the
-    orbit's size n! / prod k_a!, where k_a is how often value a occurs.  A
-    point off the walls uses no 0 or 1, never both a and its partner 1 - a,
-    and 1/2 (its own partner) at most once; the walk takes the values in
-    increasing order and blocks each partner as it goes.  The last group of
-    equal values is counted, not visited, so no step scans F_q.
+    A point is off the walls when no coordinate is 0 or 1, no two
+    coordinates are partners a and 1 - a, and at most one is 1/2 (its own
+    partner).  The other q - 3 values form (q - 3)/2 partner classes
+    {a, 1 - a}.  The m coordinates not on 1/2 cover some j classes, one side
+    of each, so they can be placed in S(m) = sum_j C((q-3)/2, j) 2^j
+    onto(m, j) ways, where onto(m, j) = j! S2(m, j) counts the maps of m
+    labelled coordinates onto j labelled classes.  With 1/2 unused or held
+    by one of the n coordinates, the count is S(n) + n S(n-1): O(n^2)
+    integer work, and q enters only through the binomials.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -294,26 +305,14 @@ def finite_field_count(n: int, q: int, *, budget: int = POINT_BUDGET) -> int:
             f"q^n = {q**n} exceeds the budget of {budget} points; "
             "raise budget= explicitly if this size is intended"
         )
-    half = (q + 1) // 2
-
-    def walk(low: int, left: int, weight: int, blocked: tuple[int, ...]) -> int:
-        # the last group: all `left` remaining coordinates on one value >= low
-        free = q - low - sum(v >= low for v in blocked)
-        if left > 1 and half >= low:
-            free -= 1  # 1/2 twice lies on x_i + x_j = 1
-        total = weight * free
-        if left == 1:
-            return total
-        # or k < left of them on a value b, and the rest on values above b
-        for b in range(low, q - 1):
-            if b in blocked:
-                continue
-            after = blocked + (q + 1 - b,) if b < half else blocked
-            for k in range(1, 2 if b == half else left):
-                total += walk(b + 1, left - k, weight * comb(left, k), after)
-        return total
-
-    return walk(2, n, 1, ())
+    classes = (q - 3) // 2  # the partner classes {a, 1 - a} other than {1/2}
+    onto = [1]  # onto[j]: ways m labelled coordinates cover j labelled classes
+    fill = [1]  # fill[m] = S(m), the placements of m coordinates off 1/2
+    for m in range(1, n + 1):
+        onto.append(0)
+        onto = [0] + [j * (onto[j - 1] + onto[j]) for j in range(1, m + 1)]
+        fill.append(sum(comb(classes, j) * 2**j * onto[j] for j in range(m + 1)))
+    return fill[n] + n * fill[n - 1]
 
 
 def interpolate_counts(points: Sequence[tuple[int, int]], n: int) -> IntPolynomial:
@@ -323,9 +322,13 @@ def interpolate_counts(points: Sequence[tuple[int, int]], n: int) -> IntPolynomi
     With more than n+1 samples this doubles as a consistency check: the
     result must come out with integer coefficients and degree exactly n, or
     the samples do not lie on any such polynomial and a ValueError explains
-    which property failed.
+    which property failed.  A q may repeat only with the same value.
     """
-    samples = sorted(dict(points).items())
+    values: dict[int, int] = {}
+    for q, value in points:
+        if values.setdefault(q, value) != value:
+            raise ValueError(f"q = {q} has two different counts, {values[q]} and {value}")
+    samples = sorted(values.items())
     if len(samples) < n + 1:
         raise ValueError(
             f"need at least {n + 1} distinct sample points for degree {n}, "

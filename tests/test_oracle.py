@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from pairsum.charpoly import IntPolynomial, chi
 from pairsum.oracle import (
     POINT_BUDGET,
+    _arrangement_rows,
+    _forward_pass,
+    _insert,
     build_arrangement,
     central_census,
     default_verification_primes,
@@ -30,6 +33,46 @@ FIELD_PRIMES = [q for q in range(5, 12242) if is_verification_prime(q)]
 
 def walls_by_label(n):
     return {h.label: h for h in build_arrangement(n)}
+
+
+def orbit_walk_count(n, q):
+    """Reference point count, kept apart from the code it checks: one sorted
+    point per orbit of the symmetric group on the coordinates, weighted by
+    the orbit's size n! / prod k_a!.  The walk takes the values 2..q-1 in
+    increasing order, blocks the partner 1 - a of each value it uses and
+    allows 1/2 at most once; the last group of equal values is counted."""
+    half = (q + 1) // 2
+
+    def walk(low, left, weight, blocked):
+        free = q - low - sum(v >= low for v in blocked)
+        if left > 1 and half >= low:
+            free -= 1  # 1/2 twice lies on x_i + x_j = 1
+        total = weight * free
+        if left == 1:
+            return total
+        for b in range(low, q - 1):
+            if b in blocked:
+                continue
+            after = blocked + (q + 1 - b,) if b < half else blocked
+            for k in range(1, 2 if b == half else left):
+                total += walk(b + 1, left - k, weight * comb(left, k), after)
+        return total
+
+    return walk(2, n, 1, ())
+
+
+def census_in_order(n, rows):
+    """The central census of a forward pass over rows in the given order."""
+
+    def join(state, row):
+        joined, _, bad = _insert(state, row, n)
+        return None if bad else joined
+
+    totals = {}
+    for state, sizes in _forward_pass((), rows, join).items():
+        for size, count in sizes.items():
+            totals[(len(state), size)] = totals.get((len(state), size), 0) + count
+    return totals
 
 
 class TestBuildArrangement:
@@ -155,7 +198,8 @@ class TestFiniteFieldCount:
 
     def test_matches_every_point_checked_against_every_wall(self):
         # the literal definition: scan F_q^n and test each wall modulo q
-        for n, q in [(n, q) for n in (1, 2, 3) for q in (5, 7, 11)] + [(4, 5)]:
+        extra = [(2, 13), (3, 13), (4, 5), (4, 7), (5, 5)]
+        for n, q in [(n, q) for n in (1, 2, 3) for q in (5, 7, 11)] + extra:
             walls = build_arrangement(n)
             off = sum(
                 all(
@@ -165,6 +209,16 @@ class TestFiniteFieldCount:
                 for point in product(range(q), repeat=n)
             )
             assert finite_field_count(n, q) == off, (n, q)
+
+    def test_matches_orbit_walk(self):
+        # every prime 5..31 with at most 10^7 points, up to n = 7
+        checked = 0
+        for n in range(1, 8):
+            for q in FIELD_PRIMES:
+                if q <= 31 and q**n <= 10**7:
+                    assert finite_field_count(n, q) == orbit_walk_count(n, q), (n, q)
+                    checked += 1
+        assert checked == 49
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -220,6 +274,19 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             interpolate_counts(points, 2)
 
+    @pytest.mark.parametrize("bad_last", [False, True])
+    def test_conflicting_samples_name_the_prime(self, bad_last):
+        # chi_2 = t^2 - 5t + 6, with a wrong count repeated at q = 5
+        points = [(5, 99), (5, 6), (7, 20), (11, 72)]
+        if bad_last:
+            points = points[1:] + points[:1]
+        with pytest.raises(ValueError, match="q = 5"):
+            interpolate_counts(points, 2)
+
+    def test_exact_repeats_merge(self):
+        points = [(5, 6), (7, 20), (5, 6), (11, 72)]
+        assert interpolate_counts(points, 2) == IntPolynomial([6, -5, 1])
+
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="at least"):
             interpolate_counts([(5, 1), (7, 2)], 2)
@@ -242,6 +309,14 @@ class TestInterpolation:
 
         primes = (5, 7, 11, 13, 17, 19, 23)
         assert interpolated_chi(6, primes) == chi(6, Mode.CORRECTED)
+
+    def test_interpolated_chi_rebuilds_chi_up_to_rank_twelve(self):
+        # far past the point budget: the count costs O(n^2) at any q
+        field = [q for q in FIELD_PRIMES if q <= 47]
+        for n in range(7, 13):
+            primes = field[: n + 1]
+            rebuilt = interpolated_chi(n, primes, budget=primes[-1] ** n)
+            assert rebuilt == chi(n), n
 
 
 class TestEnumerateGraphs:
@@ -313,6 +388,13 @@ class TestCentralCensus:
                     for c in range(0, comb(n, 2) + 2 * n + 1)
                 )
                 assert signed == poly.coefficient(n - r), (n, r)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.randoms(use_true_random=False))
+    def test_wall_order_does_not_change_the_census(self, n, rng):
+        rows = _arrangement_rows(n)
+        rng.shuffle(rows)
+        assert census_in_order(n, rows) == dict(central_census(n).items())
 
     def test_rank_six_past_the_guard(self):
         from pairsum.central import Mode, extract_counts, gamma_product

@@ -9,7 +9,9 @@ The generating-function pipeline lives in :mod:`pairsum.central` and
 ``import pairsum`` loads none of them.  Each public name below is resolved
 on first access (PEP 562), importing only the submodule that defines it, so
 ``from pairsum import chi`` never loads the oracles and a CLI command loads
-only the code it runs.
+only the code it runs.  The package exports the documented API only; every
+other name is imported from its submodule (``from pairsum.central import
+gamma_product``).
 """
 
 import importlib
@@ -17,27 +19,12 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULE_NAMES = {
-    "central": (
-        "GammaCoefficients", "Mode", "extract_counts", "gamma0", "gamma1",
-        "gamma2", "gamma3", "gamma3_connected", "gamma_product",
-    ),
-    "charpoly": (
-        "ChamberCounts", "IntPolynomial", "chambers", "chi", "chi_table",
-        "hyperplane_count", "signs_alternate",
-    ),
-    "graphcounts": (
-        "ConsistencyError", "CountTable", "bicolored_series",
-        "bipartite_no_isolated_series", "connected_bipartite_counts",
-        "connected_bipartite_series", "connected_graph_counts", "default_caps",
-        "graphs_no_isolated_series",
-    ),
+    "central": ("Mode",),
+    "charpoly": ("ChamberCounts", "IntPolynomial", "chambers", "chi", "chi_table"),
     "oracle": (
-        "GraphCensus", "Hyperplane", "build_arrangement", "central_census",
-        "default_verification_primes", "enumerate_graphs", "finite_field_count",
-        "interpolate_counts", "interpolated_chi", "rank_and_centrality",
-        "whitney_chi",
+        "central_census", "enumerate_graphs", "finite_field_count",
+        "interpolate_counts", "interpolated_chi", "whitney_chi",
     ),
-    "series": ("TruncatedSeries", "TruncationCaps"),
 }
 _SUBMODULE_OF = {
     name: module for module, names in _SUBMODULE_NAMES.items() for name in names

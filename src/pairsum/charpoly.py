@@ -17,7 +17,8 @@ planted into [n] in C(n, m) ways, so
 
 where s(m, v) is the signed count.  The empty subarrangement contributes
 the monic leading term t^n.  On a 2-vCPU Xeon with Python 3.11, chi(n)
-takes about 0.004 s at n = 18, 0.02 s at n = 40 and 2 s at n = 200.
+takes about 0.004 s at n = 18, 0.02 s at n = 40 and 0.9 to 1.9 s at
+n = 200, depending on the run.
 
 Zaslavsky's theorem converts chi_n into chamber counts: the number of
 chambers is (-1)^n chi_n(-1) and the number of relatively bounded chambers

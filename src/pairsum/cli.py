@@ -312,11 +312,7 @@ def _verify_ffield(
     rows = []
     failed = False
     for q in primes:
-        try:
-            count = finite_field_count(n, q)
-        except ValueError as exc:
-            rows.append({"q": q, "status": "skipped", "reason": str(exc)})
-            continue
+        count = finite_field_count(n, q)
         row = {
             "q": q,
             "status": "ran",
@@ -329,7 +325,7 @@ def _verify_ffield(
     section = {"status": "ran", "primes": rows, "failed": failed}
     # with n+1 or more sampled primes the whole polynomial is determined:
     # interpolate and compare every coefficient at once
-    samples = [(row["q"], int(row["count"])) for row in rows if row["status"] == "ran"]
+    samples = [(row["q"], int(row["count"])) for row in rows]
     if len(samples) >= n + 1:
         try:
             interp = interpolate_counts(samples, n)
@@ -405,21 +401,15 @@ def _verify_report(
     for name in oracle_names:
         if name == "whitney":
             section = _verify_whitney(n, polys)
-            if section["status"] == "ran":
-                checked = True
-                corrected_failed = (
-                    corrected_failed or section["corrected"]["result"] == "FAIL"
-                )
+            failed = section["status"] == "ran" and section["corrected"]["result"] == "FAIL"
         elif name == "ffield":
             section = _verify_ffield(n, polys, primes)
-            checked = checked or any(
-                row["status"] == "ran" for row in section.get("primes", ())
-            )
-            corrected_failed = corrected_failed or section.get("failed", False)
+            failed = section.get("failed", False)
         else:  # graphs; _cmd_verify has rejected every other name
             section = _verify_graphs(n)
-            checked = checked or section["status"] == "ran"
-            corrected_failed = corrected_failed or section.get("failed", False)
+            failed = section.get("failed", False)
+        checked = checked or section["status"] == "ran"
+        corrected_failed = corrected_failed or failed
         sections[name] = section
     report["oracles"] = sections
     if corrected_failed:
@@ -470,13 +460,10 @@ def _render_verify_text(report: dict) -> str:
                 lines.append(f"  whitney vs published: {cmp['result']}")
         elif name == "ffield":
             for row in section["primes"]:
-                if row["status"] == "skipped":
-                    lines.append(f"  ffield q={row['q']}: skipped ({row['reason']})")
-                else:
-                    lines.append(
-                        f"  ffield q={row['q']}: count={row['count']} "
-                        f"corrected={row['corrected']} paper={row['paper']}"
-                    )
+                lines.append(
+                    f"  ffield q={row['q']}: count={row['count']} "
+                    f"corrected={row['corrected']} paper={row['paper']}"
+                )
             interp = section.get("interpolation")
             if interp is not None:
                 if "reason" in interp:
@@ -510,7 +497,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--oracles repeats {', '.join(repeated)}; list each oracle once"
         )
-    from .oracle import default_verification_primes, is_verification_prime
+    from .oracle import (
+        MAX_VERIFICATION_PRIME,
+        default_verification_primes,
+        is_verification_prime,
+    )
 
     if args.primes:
         try:
@@ -525,7 +516,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         invalid = [q for q in primes if not is_verification_prime(q)]
         if invalid:
             raise UsageError(
-                f"--primes must list primes at least 5, not {', '.join(map(str, invalid))}"
+                f"--primes must list primes at least 5 and at most "
+                f"{MAX_VERIFICATION_PRIME}, not {', '.join(map(str, invalid))}"
             )
     else:
         primes = default_verification_primes(n)

@@ -6,7 +6,9 @@ Three oracles, none of which touches the generating-function pipeline:
   of walls, read off :func:`central_census` (exact integer elimination;
   guarded at n <= 5, n = 6 takes about 0.2 s);
 * :func:`finite_field_count` counts the points of F_q^n lying on no wall,
-  by the partner classes {a, 1 - a} their coordinates take;
+  by the partner classes {a, 1 - a} their coordinates take, in O(n^2)
+  integer work at any n and any prime 5 <= q <= 2^31 - 1;
+  :func:`interpolated_chi` rebuilds chi_n from n + 1 such counts;
 * :func:`enumerate_graphs` classifies every labeled graph on up to six
   vertices by size, components, bipartite components and isolated vertices.
 
@@ -33,12 +35,15 @@ from typing import Any, Callable, Hashable, Iterable, NamedTuple, Optional, Sequ
 from .charpoly import IntPolynomial
 from .graphcounts import GRAPH_CENSUS_LIMIT, CountTable
 
-# Default guards: the largest n each exhaustive oracle runs at (the graph
-# census's, GRAPH_CENSUS_LIMIT, is in graphcounts), and the largest q^n the
-# finite-field count accepts.  The count costs O(n^2) at any q, so the budget
-# bounds no work: it fixes the default verify primes and skip reasons.
+# The largest n the subset census runs at by default (the graph census's,
+# GRAPH_CENSUS_LIMIT, is in graphcounts).
 SUBSET_SCAN_LIMIT = 5
+# Only picks the default verify primes, those with q^n up to this many
+# points; the point count itself costs O(n^2) at any q and takes any prime.
 POINT_BUDGET = 150_000_000
+# The largest prime a point count accepts, itself a prime: it bounds the
+# trial division that checks q to 46,341 steps.
+MAX_VERIFICATION_PRIME = 2**31 - 1
 
 Row = Tuple[int, ...]
 State = Tuple[Tuple[int, Row], ...]  # (pivot column, reduced row), sorted by pivot
@@ -258,8 +263,10 @@ def _is_prime(q: int) -> bool:
 
 
 def is_verification_prime(q: int) -> bool:
-    """Whether :func:`finite_field_count` accepts q: a prime at least 5."""
-    return q >= 5 and _is_prime(q)
+    """Whether :func:`finite_field_count` accepts q: a prime from 5 to
+    :data:`MAX_VERIFICATION_PRIME`.  The bound is tested first, so q of any
+    size is answered at once."""
+    return 5 <= q <= MAX_VERIFICATION_PRIME and _is_prime(q)
 
 
 def default_verification_primes(n: int) -> tuple[int, ...]:
@@ -283,7 +290,7 @@ def default_verification_primes(n: int) -> tuple[int, ...]:
     return tuple(fitting[-3:])
 
 
-def finite_field_count(n: int, q: int, *, budget: int = POINT_BUDGET) -> int:
+def finite_field_count(n: int, q: int) -> int:
     """Number of points of F_q^n lying on none of the walls.
 
     A point is off the walls when no coordinate is 0 or 1, no two
@@ -294,17 +301,13 @@ def finite_field_count(n: int, q: int, *, budget: int = POINT_BUDGET) -> int:
     onto(m, j) ways, where onto(m, j) = j! S2(m, j) counts the maps of m
     labelled coordinates onto j labelled classes.  With 1/2 unused or held
     by one of the n coordinates, the count is S(n) + n S(n-1): O(n^2)
-    integer work, and q enters only through the binomials.
+    integer work, and q enters only through the binomials, so no q^n points
+    are visited and any n is accepted.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not is_verification_prime(q):
-        raise ValueError("q must be a prime at least 5")
-    if q**n > budget:
-        raise ValueError(
-            f"q^n = {q**n} exceeds the budget of {budget} points; "
-            "raise budget= explicitly if this size is intended"
-        )
+        raise ValueError(f"q must be a prime from 5 to {MAX_VERIFICATION_PRIME}")
     classes = (q - 3) // 2  # the partner classes {a, 1 - a} other than {1/2}
     onto = [1]  # onto[j]: ways m labelled coordinates cover j labelled classes
     fill = [1]  # fill[m] = S(m), the placements of m coordinates off 1/2
@@ -318,37 +321,35 @@ def finite_field_count(n: int, q: int, *, budget: int = POINT_BUDGET) -> int:
 def interpolate_counts(points: Sequence[tuple[int, int]], n: int) -> IntPolynomial:
     """Reconstruct a degree-n integer polynomial from (q, value) samples.
 
-    Exact Lagrange interpolation over the rationals through all points.
-    With more than n+1 samples this doubles as a consistency check: the
-    result must come out with integer coefficients and degree exactly n, or
-    the samples do not lie on any such polynomial and a ValueError explains
-    which property failed.  A q may repeat only with the same value.
+    Newton interpolation over the rationals through all k points: divided
+    differences, then a Horner expansion into monomial coefficients, each
+    O(k^2) exact Fraction operations.  With more than n+1 samples this
+    doubles as a consistency check: the result must come out with integer
+    coefficients and degree exactly n, or the samples do not lie on any such
+    polynomial and a ValueError explains which property failed.  A q may
+    repeat only with the same value.
     """
     values: dict[int, int] = {}
     for q, value in points:
         if values.setdefault(q, value) != value:
             raise ValueError(f"q = {q} has two different counts, {values[q]} and {value}")
-    samples = sorted(values.items())
-    if len(samples) < n + 1:
+    xs = sorted(values)
+    if len(xs) < n + 1:
         raise ValueError(
             f"need at least {n + 1} distinct sample points for degree {n}, "
-            f"got {len(samples)}"
+            f"got {len(xs)}"
         )
-    total = [Fraction(0)] * len(samples)
-    for i, (x_i, y_i) in enumerate(samples):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (x_j, _) in enumerate(samples):
-            if j == i:
-                continue
-            # basis *= (x - x_j)
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= x_j * basis[k + 1]
-            denom *= x_i - x_j
-        scale = Fraction(y_i) / denom
-        for k, b in enumerate(basis):
-            total[k] += scale * b
+    # newton[i] becomes the divided difference f[x_0, ..., x_i]
+    newton = [Fraction(values[x]) for x in xs]
+    for step in range(1, len(xs)):
+        for i in range(len(xs) - 1, step - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) / (xs[i] - xs[i - step])
+    # Horner, from the top term down: total = newton[i] + (x - x_i) * total
+    total: list[Fraction] = []
+    for i in range(len(xs) - 1, -1, -1):
+        total = [newton[i], *total]
+        for k in range(len(total) - 1):
+            total[k] -= xs[i] * total[k + 1]
     if any(c.denominator != 1 for c in total):
         raise ValueError("samples do not interpolate to integer coefficients")
     coeffs = [int(c) for c in total]
@@ -361,19 +362,14 @@ def interpolate_counts(points: Sequence[tuple[int, int]], n: int) -> IntPolynomi
     return IntPolynomial(coeffs)
 
 
-def interpolated_chi(
-    n: int, primes: Sequence[int], *, budget: int = POINT_BUDGET
-) -> IntPolynomial:
+def interpolated_chi(n: int, primes: Sequence[int]) -> IntPolynomial:
     """Characteristic polynomial reconstructed purely from point counts.
 
     Counts the complement points over at least n+1 prime fields and
-    interpolates.  Reaches ranks the subset expansion cannot (n = 6 needs
-    only seven small primes) and validates every coefficient at once.
+    interpolates, which checks every coefficient at once at any n: on a
+    2-vCPU Xeon the first 61 primes from 5 rebuild chi_60 in about 0.13 s.
     """
-    points = [
-        (q, finite_field_count(n, q, budget=budget))
-        for q in sorted(set(primes))
-    ]
+    points = [(q, finite_field_count(n, q)) for q in sorted(set(primes))]
     return interpolate_counts(points, n)
 
 

@@ -269,27 +269,52 @@ class TestVerify:
         assert out == ""
         assert f"--oracles repeats {repeated}; list each oracle once" in err
 
-    @pytest.mark.parametrize("primes", ["4,6,8", "5,9", "3", "1,7", "-5"])
+    @pytest.mark.parametrize(
+        "primes", ["4,6,8", "5,9", "3", "1,7", "-5", "5,2147483659"]
+    )
     def test_prime_below_five_or_composite_is_usage_error(self, capsys, no_work, primes):
         code, out, err = run(
             capsys, "verify", "--n", "2", "--oracles", "ffield", "--primes", primes
         )
         assert code == 2
         assert out == ""
-        assert "--primes must list primes at least 5" in err
+        assert "--primes must list primes at least 5 and at most 2147483647" in err
+
+    def test_huge_prime_is_refused_at_once(self):
+        # 2^61 - 1 is prime; trial division up to its square root would not
+        # finish, so the bound must be tested first
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairsum", "verify", "--n", "1",
+             "--primes", "2305843009213693951"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--primes must list primes at least 5" in proc.stderr
 
     def test_nothing_checked_is_skipped_not_pass(self, capsys):
-        # every prime's q^7 exceeds the point budget, so no count runs
+        # every prime's q^7 exceeds the point budget, which only picks the
+        # default primes: given primes are all counted
         code, out, _ = run(
             capsys, "verify", "--n", "7", "--oracles", "ffield", "--max-n", "7",
             "--primes", "29,31,37", "--format", "json",
         )
-        assert code == 1
+        assert code == 0
         report = json.loads(out)
-        assert [row["status"] for row in report["oracles"]["ffield"]["primes"]] == [
-            "skipped"
-        ] * 3
-        assert report["result"] == "SKIPPED"
+        assert [
+            (row["q"], row["status"], row["corrected"])
+            for row in report["oracles"]["ffield"]["primes"]
+        ] == [(29, "ran", "PASS"), (31, "ran", "PASS"), (37, "ran", "PASS")]
+        assert report["result"] == "PASS"
+
+    def test_given_primes_rebuild_chi_past_the_point_budget(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--n", "12", "--max-n", "12", "--oracles", "ffield",
+            "--primes", "5,7,11,13,17,19,23,29,31,37,41,43,47",
+        )
+        assert code == 0
+        assert out.startswith("verify n=12 (PASS)")
+        assert "ffield interpolation: corrected=PASS paper=DIVERGENT" in out
 
     def test_default_primes_check_rank_seven(self, capsys):
         code, out, _ = run(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pairsum.charpoly import IntPolynomial, chi
 from pairsum.oracle import (
+    MAX_VERIFICATION_PRIME,
     POINT_BUDGET,
     _arrangement_rows,
     _forward_pass,
@@ -247,8 +248,20 @@ class TestFiniteFieldCount:
             finite_field_count(2, 3)
 
     def test_budget_guard(self):
-        with pytest.raises(ValueError, match="budget"):
-            finite_field_count(8, 31)
+        # 31^8 points is past POINT_BUDGET, which only picks default primes
+        assert 31**8 > POINT_BUDGET
+        assert finite_field_count(8, 31) == chi(8)(31)
+
+    def test_prime_bound(self):
+        # 2^31 - 1 is prime and accepted; larger primes are refused at once,
+        # before any trial division
+        assert MAX_VERIFICATION_PRIME == 2**31 - 1
+        assert is_verification_prime(MAX_VERIFICATION_PRIME)
+        assert not is_verification_prime(2**31 + 11)
+        assert not is_verification_prime(2**61 - 1)
+        assert finite_field_count(3, MAX_VERIFICATION_PRIME) == chi(3)(MAX_VERIFICATION_PRIME)
+        with pytest.raises(ValueError, match=str(MAX_VERIFICATION_PRIME)):
+            finite_field_count(3, 2**61 - 1)
 
     def test_default_primes(self):
         assert default_verification_primes(3) == (5, 7, 11, 13)
@@ -314,9 +327,38 @@ class TestInterpolation:
         # far past the point budget: the count costs O(n^2) at any q
         field = [q for q in FIELD_PRIMES if q <= 47]
         for n in range(7, 13):
-            primes = field[: n + 1]
-            rebuilt = interpolated_chi(n, primes, budget=primes[-1] ** n)
-            assert rebuilt == chi(n), n
+            assert interpolated_chi(n, field[: n + 1]) == chi(n), n
+
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_interpolated_chi_rebuilds_chi_at_large_rank(self, n):
+        assert interpolated_chi(n, FIELD_PRIMES[: n + 1]) == chi(n)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.integers(-10**30, 10**30), min_size=d, max_size=d),
+                st.integers(-10**30, 10**30).filter(bool),
+                st.lists(
+                    st.sampled_from(FIELD_PRIMES), min_size=d + 1, max_size=d + 3,
+                    unique=True,
+                ),
+                st.integers(0, d + 2),
+            )
+        )
+    )
+    def test_recovers_any_integer_polynomial(self, sample):
+        lower, lead, primes, bumped = sample
+        poly = IntPolynomial([*lower, lead])
+        d = poly.degree
+        points = [(q, poly(q)) for q in primes]
+        assert interpolate_counts(points, d) == poly
+        if len(points) > d + 1:
+            # the k points no longer lie on a polynomial of degree d
+            i = bumped % len(points)
+            points[i] = (points[i][0], points[i][1] + 1)
+            with pytest.raises(ValueError):
+                interpolate_counts(points, d)
 
 
 class TestEnumerateGraphs:

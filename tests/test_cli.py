@@ -293,8 +293,7 @@ class TestVerify:
         assert "--primes must list primes at least 5" in proc.stderr
 
     def test_nothing_checked_is_skipped_not_pass(self, capsys):
-        # every prime's q^7 exceeds the point budget, which only picks the
-        # default primes: given primes are all counted
+        # given primes are all counted, however large q^n is
         code, out, _ = run(
             capsys, "verify", "--n", "7", "--oracles", "ffield", "--max-n", "7",
             "--primes", "29,31,37", "--format", "json",
@@ -322,29 +321,43 @@ class TestVerify:
             "--format", "json",
         )
         assert code == 0
-        rows = json.loads(out)["oracles"]["ffield"]["primes"]
-        assert [(row["q"], row["corrected"]) for row in rows] == [
-            (7, "PASS"), (11, "PASS"), (13, "PASS")
+        section = json.loads(out)["oracles"]["ffield"]
+        assert [(row["q"], row["corrected"]) for row in section["primes"]] == [
+            (q, "PASS") for q in (5, 7, 11, 13, 17, 19, 23, 29)
         ]
+        assert section["interpolation"]["result"] == "PASS"
 
     def test_no_prime_within_budget_is_skipped(self, capsys):
+        # the defaults are the first n + 1 primes from 5 at any n
         code, out, _ = run(
             capsys, "verify", "--n", "12", "--oracles", "ffield", "--format", "json"
         )
-        assert code == 1
+        assert code == 0
         report = json.loads(out)
-        assert report["oracles"]["ffield"] == {
-            "status": "skipped",
-            "reason": "no prime at least 5 has q^n within the budget of 150000000 points",
-        }
-        assert report["result"] == "SKIPPED"
+        assert len(report["oracles"]["ffield"]["primes"]) == 13
+        assert report["result"] == "PASS"
+
+    @pytest.mark.parametrize("n", [6, 12, 40])
+    def test_default_primes_rebuild_chi(self, capsys, n):
+        from pairsum.charpoly import chi
+
+        code, out, _ = run(
+            capsys, "verify", "--n", str(n), "--max-n", str(n), "--format", "json"
+        )
+        assert code == 0
+        section = json.loads(out)["oracles"]["ffield"]
+        assert len(section["primes"]) == n + 1
+        assert section["interpolation"]["coeffs"] == [str(c) for c in chi(n).coeffs]
 
     def test_guard_reasons(self, capsys):
-        _, out, _ = run(
+        code, out, _ = run(
             capsys, "verify", "--n", "7", "--oracles", "whitney,graphs", "--max-n", "7",
             "--format", "json",
         )
-        oracles = json.loads(out)["oracles"]
+        assert code == 1
+        report = json.loads(out)
+        assert report["result"] == "SKIPPED"
+        oracles = report["oracles"]
         assert oracles["whitney"]["reason"] == (
             "whitney oracle enumerates all wall subsets and is guarded at n <= 5"
         )

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from pairsum.charpoly import IntPolynomial, chi
 from pairsum.oracle import (
     MAX_VERIFICATION_PRIME,
-    POINT_BUDGET,
     _arrangement_rows,
     _forward_pass,
     _insert,
@@ -28,7 +27,7 @@ from pairsum.oracle import (
 )
 
 
-# primes at least 5 up to the largest q with q^2 inside the point budget
+# the verification primes from 5 to 12241
 FIELD_PRIMES = [q for q in range(5, 12242) if is_verification_prime(q)]
 
 
@@ -223,20 +222,14 @@ class TestFiniteFieldCount:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        st.integers(1, 6).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.sampled_from([q for q in FIELD_PRIMES if q**n <= POINT_BUDGET]),
-            )
-        )
+        st.tuples(st.integers(1, 30), st.sampled_from(FIELD_PRIMES))
     )
     def test_matches_chi_at_random_primes(self, sample):
+        # the count visits no points, so q^n has no size limit
         n, q = sample
         assert finite_field_count(n, q) == chi(n)(q)
 
     def test_largest_field_within_the_budget(self):
-        # n = 2, q = 12241 has the most points of any prime inside the budget
-        assert 12241**2 <= POINT_BUDGET < 12251**2
         assert finite_field_count(2, 12241) == chi(2)(12241)
 
     def test_rejects_bad_modulus(self):
@@ -248,9 +241,13 @@ class TestFiniteFieldCount:
             finite_field_count(2, 3)
 
     def test_budget_guard(self):
-        # 31^8 points is past POINT_BUDGET, which only picks default primes
-        assert 31**8 > POINT_BUDGET
         assert finite_field_count(8, 31) == chi(8)(31)
+
+    def test_interleaved_ranks_share_no_rows(self):
+        # the q-independent rows are cached for one n at a time; switching
+        # n and back must rebuild them, never reuse another rank's
+        for n, q in ((7, 11), (6, 11), (7, 13), (40, 11), (6, 13), (40, 101), (7, 11)):
+            assert finite_field_count(n, q) == chi(n)(q), (n, q)
 
     def test_prime_bound(self):
         # 2^31 - 1 is prime and accepted; larger primes are refused at once,
@@ -265,14 +262,22 @@ class TestFiniteFieldCount:
 
     def test_default_primes(self):
         assert default_verification_primes(3) == (5, 7, 11, 13)
+        assert default_verification_primes(4) == (5, 7, 11, 13, 17)
         assert default_verification_primes(5) == (23, 29, 31)
+        assert default_verification_primes(12) == (
+            5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47
+        )
 
     def test_default_primes_fit_the_budget_from_rank_six(self):
-        assert default_verification_primes(6) == (17, 19, 23)
-        assert default_verification_primes(7) == (7, 11, 13)
-        assert default_verification_primes(12) == ()
-        for n in range(6, 13):
-            assert all(q**n <= POINT_BUDGET for q in default_verification_primes(n))
+        # n + 1 primes pin all n + 1 coefficients of chi_n; n = 5 keeps the
+        # three primes its recorded benchmark output uses
+        for n in range(1, 61):
+            if n == 5:
+                continue
+            primes = default_verification_primes(n)
+            assert len(primes) == max(4, n + 1), n
+            assert list(primes) == sorted(set(primes)), n
+            assert all(is_verification_prime(q) for q in primes), n
 
 
 class TestInterpolation:
@@ -324,12 +329,12 @@ class TestInterpolation:
         assert interpolated_chi(6, primes) == chi(6, Mode.CORRECTED)
 
     def test_interpolated_chi_rebuilds_chi_up_to_rank_twelve(self):
-        # far past the point budget: the count costs O(n^2) at any q
+        # the count visits no points, so any prime serves at any n
         field = [q for q in FIELD_PRIMES if q <= 47]
         for n in range(7, 13):
             assert interpolated_chi(n, field[: n + 1]) == chi(n), n
 
-    @pytest.mark.parametrize("n", [20, 40, 60])
+    @pytest.mark.parametrize("n", [20, 40, 60, 100])
     def test_interpolated_chi_rebuilds_chi_at_large_rank(self, n):
         assert interpolated_chi(n, FIELD_PRIMES[: n + 1]) == chi(n)
 

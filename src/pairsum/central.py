@@ -21,7 +21,7 @@ m <= n vertices: entry m maps (c, v) to m! [x^m y^c z^v], the number of
 central graphs of that kind on the vertex set {1..m}.  All arithmetic is on
 integers.  A type-0 component on k vertices has rank k - 1 and every other
 component has full rank, so a graph on m vertices with v type-0 components
-has rank m - v; :func:`extract_counts` re-indexes by that rank.
+has rank m - v; :func:`whitney_numbers` re-indexes by that rank.
 
 The characteristic polynomial reads Gamma only through
 sum_c (-1)^c count(m, c, v), that is at y = -1.  Setting y = -1 is a ring
@@ -30,8 +30,8 @@ homomorphism, so it commutes with the labeled product, exp and log:
 specialised at y = -1, whose entries are keyed (0, v).  It drops the
 cardinality dimension, which is what made the full product grow as n^6,
 and is the path every command of the CLI takes.  :func:`gamma_product`
-keeps the full trivariate Gamma of the paper for the Whitney numbers
-(rank and cardinality) that the tests check against the subset census.
+keeps the full trivariate Gamma of the paper, from which
+:func:`whitney_numbers` reads the counts by rank and cardinality.
 
 The type-1 factor exists in two variants, selected by :class:`Mode`.  The
 published closed form subtracts the bipartite isolated-vertex-free series
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import enum
 from math import comb
-from typing import Iterable, Mapping, Tuple
+from typing import Tuple
 
 from . import labeled
 from .graphcounts import (
@@ -83,12 +83,12 @@ def _factors(
     """The factors G0, G1, G2, G3 built from base tables on vertex counts 0..n.
 
     cb counts connected bipartite graphs, conn connected graphs, g2 isolated
-    colored vertices and g3c connected type-3 graphs.  Given the full tables
-    this is the factorisation of Gamma; given the tables at y = -1 it is the
-    same factorisation at y = -1, which commutes with product, exp and log.
+    colored vertices and g3c connected type-3 graphs, either resolved by
+    cardinality or at y = -1, which commutes with product, exp and log.
 
-    G0 is exp[z * (cb minus x)], G1 is described at :func:`gamma1`, G2 is
-    g2 and G3 is exp(g3c).
+    G0 is exp[z * (cb minus x)]: an uncolored isolated vertex is no wall, so
+    it is left out and planted later.  G1 is exp(conn minus cb) if corrected,
+    exp(conn minus x) - exp(cb minus x) + 1 if paper.  G2 is g2, G3 exp(g3c).
     """
     bipartite = without_single_vertex(cb)
     marked = [{(c, 1): count for (c, _), count in entry.items()} for entry in bipartite]
@@ -142,28 +142,6 @@ def _signed_tables(n: int) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
     return cb, conn, g2, g3c
 
 
-def gamma0(n: int) -> Labeled:
-    """Type-0 factor: exp[z * (connected bipartite minus x)].
-
-    The single vertex is left out: an uncolored isolated vertex is not a
-    wall, so it belongs to no component and is planted later.
-    """
-    return _factors(*_full_tables(n), Mode.CORRECTED, cardinality_cap(n))[0]
-
-
-def gamma1(n: int, mode: Mode = Mode.CORRECTED) -> Labeled:
-    """Type-1 factor in the requested variant.
-
-    PAPER: all isolated-vertex-free graphs minus the bipartite
-    isolated-vertex-free ones, plus one (counts any graph containing an odd
-    cycle).  CORRECTED: exp of the connected non-bipartite series (counts
-    graphs all of whose components contain an odd cycle).  The two agree up
-    to order 4; the first divergence is a triangle plus a disjoint edge at
-    order 5.
-    """
-    return _factors(*_full_tables(n), mode, cardinality_cap(n))[1]
-
-
 def gamma2(n: int) -> Labeled:
     """Type-2 factor: 2^m colorings of m isolated colored vertices."""
     return [{(m, 0): 2**m} for m in range(n + 1)]
@@ -199,11 +177,6 @@ def gamma3_connected(n: int) -> Labeled:
     return table
 
 
-def gamma3(n: int) -> Labeled:
-    """Type-3 factor: exp of the connected type-3 series."""
-    return _factors(*_full_tables(n), Mode.CORRECTED, cardinality_cap(n))[3]
-
-
 def gamma_product(n: int, mode: Mode = Mode.CORRECTED) -> dict[Tuple[int, int, int], int]:
     """The full central-graph series Gamma = G0*G1*G2*G3 on at most n vertices,
     flattened to {(vertices m, cardinality c, type-0 components v): count}."""
@@ -229,73 +202,24 @@ def signed_gamma_product(
     return {(m, v): s for m, entry in enumerate(series) for (_, v), s in entry.items()}
 
 
-class GammaCoefficients:
-    """Central-graph counts: (rank, cardinality, bipartite components) -> int.
+def whitney_numbers(n: int, mode: Mode = Mode.CORRECTED) -> CountTable:
+    """Central wall subsets on [n] by (rank m - v, cardinality c): each graph
+    of Gamma on m vertices is planted into [n] in C(n, m) ways.
 
-    The count at (r, c, v) is the number of central colored graphs on the
-    vertex set {1..r+v} of rank r and cardinality c with v bipartite
-    components and no unused vertex.
+    Counts must be non-negative and the empty graph counted once.  Every
+    true central graph has c >= its rank r, but the published type-1 factor
+    breaks that from order 5 on, so c >= r is checked when corrected only.
     """
-
-    __slots__ = ("_entries",)
-
-    def __init__(
-        self,
-        entries: Mapping[Tuple[int, int, int], int],
-        *,
-        check_rank_bound: bool = True,
-    ):
-        """check_rank_bound enforces cardinality >= rank, which every true
-        central graph satisfies; the published type-1 variant violates it
-        from order 5 on (it misclassifies mixed graphs as full rank), so
-        paper-mode extractions disable the check."""
-        stored: dict[Tuple[int, int, int], int] = {}
-        for (r, c, v), count in entries.items() if isinstance(entries, Mapping) else entries:
-            count = int(count)
-            if count < 0:
-                raise ConsistencyError(f"negative central-graph count at {(r, c, v)}")
-            if count and c < r and check_rank_bound:
-                raise ConsistencyError(
-                    f"count at rank {r}, cardinality {c} violates c >= r"
-                )
-            if count:
-                stored[(r, c, v)] = count
-        if stored.get((0, 0, 0), 0) != 1:
-            raise ConsistencyError("the empty graph must be counted exactly once")
-        self._entries = stored
-
-    def count(self, r: int, c: int, v: int) -> int:
-        return self._entries.get((r, c, v), 0)
-
-    def items(self) -> Iterable[tuple[Tuple[int, int, int], int]]:
-        return self._entries.items()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def rank_cardinality_table(self, n: int) -> CountTable:
-        """Counts of central graphs on [n] by (rank, cardinality).
-
-        Vertices not used by the graph stay unconstrained, so a graph on
-        r+v labels is planted into [n] in C(n, r+v) ways.
-        """
-        table: dict[tuple[int, int], int] = {}
-        for (r, c, v), count in self._entries.items():
-            if r + v <= n:
-                key = (r, c)
-                table[key] = table.get(key, 0) + comb(n, r + v) * count
-        return CountTable(table)
-
-
-def extract_counts(
-    gamma: Mapping[Tuple[int, int, int], int], *, check_rank_bound: bool = True
-) -> GammaCoefficients:
-    """Re-index the product's counts from (vertices m, c, v) to rank m - v.
-
-    Pass check_rank_bound=False when extracting a paper-mode product, which
-    legitimately carries c < r entries (see :class:`GammaCoefficients`).
-    """
-    return GammaCoefficients(
-        {(m - v, c, v): count for (m, c, v), count in gamma.items()},
-        check_rank_bound=check_rank_bound,
-    )
+    corrected = Mode(mode) is Mode.CORRECTED
+    gamma = gamma_product(n, mode)
+    table: dict[Tuple[int, int], int] = {}
+    for (m, c, v), count in gamma.items():
+        r = m - v
+        if count < 0:
+            raise ConsistencyError(f"negative central-graph count at {(r, c, v)}")
+        if count and c < r and corrected:
+            raise ConsistencyError(f"count at rank {r}, cardinality {c} violates c >= r")
+        table[(r, c)] = table.get((r, c), 0) + comb(n, m) * count
+    if gamma.get((0, 0, 0), 0) != 1:
+        raise ConsistencyError("the empty graph must be counted exactly once")
+    return CountTable(table)

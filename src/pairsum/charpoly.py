@@ -115,6 +115,12 @@ class ChamberCounts(NamedTuple):
     total: int
     bounded: int
 
+    @classmethod
+    def of(cls, poly: IntPolynomial) -> ChamberCounts:
+        """Zaslavsky: ((-1)^n chi(-1), (-1)^n chi(+1)) for chi of degree n."""
+        sign = -1 if poly.degree % 2 else 1
+        return cls(total=sign * poly(-1), bounded=sign * poly(1))
+
 
 def hyperplane_count(n: int) -> int:
     """C(n,2) pair walls plus 2n coordinate walls."""
@@ -143,10 +149,8 @@ def chi(n: int, mode: Mode = Mode.CORRECTED) -> IntPolynomial:
 
 
 def chambers(n: int, mode: Mode = Mode.CORRECTED) -> ChamberCounts:
-    """Chamber counts via Zaslavsky: ((-1)^n chi(-1), (-1)^n chi(+1))."""
-    poly = chi(n, mode)
-    sign = -1 if n % 2 else 1
-    return ChamberCounts(total=sign * poly(-1), bounded=sign * poly(1))
+    """Chamber counts of the rank-n arrangement via Zaslavsky."""
+    return ChamberCounts.of(chi(n, mode))
 
 
 def chi_table(n_max: int, mode: Mode = Mode.CORRECTED) -> list[IntPolynomial]:

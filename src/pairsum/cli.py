@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import __version__, graphcounts
 from .central import Mode
-from .charpoly import IntPolynomial, chambers, chi, chi_table, signs_alternate
+from .charpoly import ChamberCounts, IntPolynomial, chambers, chi, chi_table, signs_alternate
 
 # The oracles, the published values and json are imported inside the
 # functions that use them, so that a command loads only the code it runs.
@@ -119,9 +119,7 @@ def _table_rows(n_max: int, mode: Mode) -> list[dict]:
 
     rows = []
     for n, poly in zip(range(2, n_max + 1), chi_table(n_max, mode)):
-        sign = -1 if n % 2 else 1
-        total = sign * poly(-1)
-        bounded = sign * poly(1)
+        total, bounded = ChamberCounts.of(poly)
         row = {
             "n": n,
             "coeffs": _str_coeffs(poly),
@@ -275,9 +273,10 @@ def _compare(computed: IntPolynomial, reference: IntPolynomial, label: str) -> d
     }
 
 
-def _verify_whitney(n: int, polys: dict[str, IntPolynomial]) -> dict:
+def _verify_whitney(
+    n: int, polys: dict[str, IntPolynomial], reference: Optional[IntPolynomial]
+) -> dict:
     from .oracle import SUBSET_SCAN_LIMIT, whitney_chi
-    from .published import published_chi
 
     if n > SUBSET_SCAN_LIMIT:
         return {
@@ -292,7 +291,6 @@ def _verify_whitney(n: int, polys: dict[str, IntPolynomial]) -> dict:
         "corrected": _compare(polys["corrected"], oracle_poly, "FAIL"),
         "paper": _compare(polys["paper"], oracle_poly, "DIVERGENT"),
     }
-    reference = published_chi(n)
     if reference is not None:
         section["published_vs_oracle"] = _compare(reference, oracle_poly, "DIVERGENT")
     return section
@@ -394,7 +392,7 @@ def _verify_report(
     checked = False  # whether any oracle ran at least one check
     for name in oracle_names:
         if name == "whitney":
-            section = _verify_whitney(n, polys)
+            section = _verify_whitney(n, polys, reference)
             failed = section["status"] == "ran" and section["corrected"]["result"] == "FAIL"
         elif name == "ffield":
             section = _verify_ffield(n, polys, primes)
@@ -414,6 +412,15 @@ def _verify_report(
 
 
 def _render_verify_text(report: dict) -> str:
+    def compared(label: str, cmp: dict, noun: str) -> str:
+        if not cmp["differences"]:
+            return f"  {label}: PASS"
+        first = cmp["differences"][0]
+        return (
+            f"  {label}: {cmp['result']} (first difference at t^{first['power']}: "
+            f"computed {first['computed']}, {noun} {first['published']})"
+        )
+
     lines = [f"verify n={report['n']} ({report['result']})"]
     lines.append(f"  corrected: {IntPolynomial([int(c) for c in report['polynomials']['corrected']])}")
     lines.append(f"  paper:     {IntPolynomial([int(c) for c in report['polynomials']['paper']])}")
@@ -423,32 +430,14 @@ def _render_verify_text(report: dict) -> str:
             f"  published: {IntPolynomial([int(c) for c in pub['coeffs']])}"
         )
         for mode in ("corrected", "paper"):
-            cmp = pub[mode]
-            if cmp["differences"]:
-                first = cmp["differences"][0]
-                lines.append(
-                    f"  published vs {mode}: {cmp['result']} "
-                    f"(first difference at t^{first['power']}: "
-                    f"computed {first['computed']}, published {first['published']})"
-                )
-            else:
-                lines.append(f"  published vs {mode}: PASS")
+            lines.append(compared(f"published vs {mode}", pub[mode], "published"))
     for name, section in report["oracles"].items():
         if section["status"] == "skipped":
             lines.append(f"  {name}: skipped ({section['reason']})")
             continue
         if name == "whitney":
             for mode in ("corrected", "paper"):
-                cmp = section[mode]
-                if cmp["differences"]:
-                    first = cmp["differences"][0]
-                    lines.append(
-                        f"  whitney vs {mode}: {cmp['result']} "
-                        f"(first difference at t^{first['power']}: "
-                        f"computed {first['computed']}, oracle {first['published']})"
-                    )
-                else:
-                    lines.append(f"  whitney vs {mode}: PASS")
+                lines.append(compared(f"whitney vs {mode}", section[mode], "oracle"))
             if "published_vs_oracle" in section:
                 cmp = section["published_vs_oracle"]
                 lines.append(f"  whitney vs published: {cmp['result']}")

@@ -13,20 +13,26 @@ import pytest
 from pairsum import graphcounts
 from pairsum import central
 from pairsum.central import (
-    GammaCoefficients,
     Mode,
     cardinality_cap,
-    extract_counts,
-    gamma0,
-    gamma1,
     gamma2,
-    gamma3,
     gamma3_connected,
     gamma_product,
     signed_gamma_product,
+    whitney_numbers,
 )
 from pairsum.graphcounts import ConsistencyError
 from pairsum.oracle import central_census
+
+
+def factor(i, n, mode=Mode.CORRECTED):
+    """Factor Gi of Gamma on at most n vertices, resolved by cardinality."""
+    return central._factors(*central._full_tables(n), mode, cardinality_cap(n))[i]
+
+
+def by_rank(gamma):
+    """Product counts re-indexed from (vertices m, c, v) to (rank m - v, c, v)."""
+    return {(m - v, c, v): count for (m, c, v), count in gamma.items()}
 
 
 def colored_graph_counts(m):
@@ -109,7 +115,7 @@ def colored_graph_counts(m):
 
 class TestGamma0:
     def test_worked_coefficients(self):
-        g0 = gamma0(6)
+        g0 = factor(0, 6)
         assert g0[2][(1, 1)] == 1  # a single edge
         assert g0[3][(2, 1)] == 3  # labeled paths on 3 vertices
         assert g0[4][(2, 2)] == 3  # two disjoint edges
@@ -117,32 +123,32 @@ class TestGamma0:
         assert g0[6][(3, 3)] == 15  # perfect matchings on 6 vertices
 
     def test_every_term_carries_z_or_is_one(self):
-        for m, entry in enumerate(gamma0(6)):
+        for m, entry in enumerate(factor(0, 6)):
             for (c, v) in entry:
                 assert v >= 1 or (m == 0 and c == 0)
 
     def test_flat_caps_degenerate_to_one(self):
         # one vertex carries no uncolored component: the factor is just 1
-        assert gamma0(1) == [{(0, 0): 1}, {}]
+        assert factor(0, 1) == [{(0, 0): 1}, {}]
 
 
 class TestGamma1:
     def test_triangle_in_both_modes(self):
         for mode in Mode:
-            assert gamma1(3, mode)[3][(3, 0)] == 1
+            assert factor(1, 3, mode)[3][(3, 0)] == 1
 
     def test_modes_agree_through_order_four(self):
-        assert gamma1(5, Mode.PAPER)[:5] == gamma1(5, Mode.CORRECTED)[:5]
+        assert factor(1, 5, Mode.PAPER)[:5] == factor(1, 5, Mode.CORRECTED)[:5]
 
     def test_order_five_divergence(self):
         # triangle plus disjoint edge: C(5,3) = 10 graphs, misclassified by
         # the published variant, absent from the corrected one
-        assert gamma1(5, Mode.PAPER)[5][(4, 0)] == 10
-        assert gamma1(5, Mode.CORRECTED)[5].get((4, 0), 0) == 0
+        assert factor(1, 5, Mode.PAPER)[5][(4, 0)] == 10
+        assert factor(1, 5, Mode.CORRECTED)[5].get((4, 0), 0) == 0
 
     def test_no_z_terms(self):
         for mode in Mode:
-            for entry in gamma1(6, mode):
+            for entry in factor(1, 6, mode):
                 assert all(v == 0 for (_, v) in entry)
 
 
@@ -206,7 +212,7 @@ class TestGamma3:
             assert {c: count for (c, _), count in g3c[m].items()} == truth, m
 
     def test_exp_matches_worked_factor(self):
-        g3 = gamma3(3)
+        g3 = factor(3, 3)
         assert g3[0] == {(0, 0): 1}
         assert g3[2][(2, 0)] == 4
         assert g3[2][(3, 0)] == 2
@@ -216,10 +222,10 @@ class TestGamma3:
 
     def test_complete_rank_two_factor(self):
         # through order 2 the factor is exactly 1 + (4 y^2 + 2 y^3) x^2/2!
-        assert gamma3(2) == [{(0, 0): 1}, {}, {(2, 0): 4, (3, 0): 2}]
+        assert factor(3, 2) == [{(0, 0): 1}, {}, {(2, 0): 4, (3, 0): 2}]
 
     def test_no_z_terms(self):
-        for entry in gamma3(5):
+        for entry in factor(3, 5):
             assert all(v == 0 for (_, v) in entry)
 
 
@@ -235,28 +241,29 @@ class TestGammaProduct:
         }
 
     def test_extracted_counts(self):
-        gamma = extract_counts(gamma_product(2, Mode.CORRECTED))
-        assert gamma.count(0, 0, 0) == 1
-        assert gamma.count(1, 1, 0) == 2
-        assert gamma.count(1, 1, 1) == 1
-        assert gamma.count(2, 2, 0) == 8
+        # keys are (rank, cardinality, bipartite components)
+        gamma = by_rank(gamma_product(2, Mode.CORRECTED))
+        assert gamma[(0, 0, 0)] == 1
+        assert gamma[(1, 1, 0)] == 2
+        assert gamma[(1, 1, 1)] == 1
+        assert gamma[(2, 2, 0)] == 8
+        # both rank-one classes, the colored vertex planted twice into [2]
+        assert whitney_numbers(2)[(1, 1)] == 2 * 2 + 1
 
     def test_matches_colored_graph_enumeration(self):
-        gamma = extract_counts(gamma_product(4, Mode.CORRECTED))
+        gamma = by_rank(gamma_product(4, Mode.CORRECTED))
         for m in range(1, 5):
             truth = colored_graph_counts(m)
             computed = {k: v for k, v in gamma.items() if k[0] + k[2] == m}
             assert computed == truth, m
 
     def test_rank_cardinality_table_matches_census(self):
-        gamma = extract_counts(gamma_product(5, Mode.CORRECTED))
         for n in range(1, 6):
-            assert gamma.rank_cardinality_table(n) == central_census(n), n
+            assert whitney_numbers(n) == central_census(n), n
 
     def test_paper_and_corrected_identical_through_rank_four(self):
-        paper = extract_counts(gamma_product(4, Mode.PAPER), check_rank_bound=False)
-        corrected = extract_counts(gamma_product(4, Mode.CORRECTED))
-        assert dict(paper.items()) == dict(corrected.items())
+        assert gamma_product(4, Mode.PAPER) == gamma_product(4, Mode.CORRECTED)
+        assert whitney_numbers(4, Mode.PAPER) == whitney_numbers(4, Mode.CORRECTED)
 
     def test_no_entry_beyond_n_vertices(self):
         assert max(m for (m, _, _) in gamma_product(7)) == 7
@@ -311,6 +318,11 @@ class TestSignedProduct:
             signed_gamma_product(3, "bogus")
 
 
+def fake_product(monkeypatch, entries):
+    """Make whitney_numbers read the given (m, c, v) entries as Gamma."""
+    monkeypatch.setattr(central, "gamma_product", lambda n, mode=Mode.CORRECTED: entries)
+
+
 class TestExtractCounts:
     def test_integrality_enforced(self, monkeypatch):
         # half the log of the bicolored table counts connected bipartite
@@ -324,36 +336,59 @@ class TestExtractCounts:
 
         monkeypatch.setattr(graphcounts, "bicolored_table", odd_table)
         with pytest.raises(ConsistencyError, match="odd"):
-            extract_counts(gamma_product(3))
+            whitney_numbers(3)
 
-    def test_rank_bound_enforced_when_strict(self):
-        entries = {(0, 0, 0): 1, (2, 1, 0): 1}
-        with pytest.raises(ConsistencyError):
-            extract_counts(entries)
-        relaxed = extract_counts(entries, check_rank_bound=False)
-        assert relaxed.count(2, 1, 0) == 1
+    def test_rank_bound_enforced_when_strict(self, monkeypatch):
+        fake_product(monkeypatch, {(0, 0, 0): 1, (2, 1, 0): 1})
+        with pytest.raises(ConsistencyError, match="c >= r"):
+            whitney_numbers(2)
+        relaxed = whitney_numbers(2, Mode.PAPER)
+        assert relaxed[(2, 1)] == 1
 
     def test_rank_bound_holds_in_corrected_mode(self):
-        gamma = extract_counts(gamma_product(12, Mode.CORRECTED))
-        assert all(c >= r for (r, c, _), _ in gamma.items())
+        table = whitney_numbers(12, Mode.CORRECTED)
+        assert all(c >= r for (r, c), _ in table.items())
 
-    def test_rank_is_vertices_minus_components(self):
-        gamma = extract_counts({(0, 0, 0): 1, (6, 3, 3): 15})
-        assert gamma.count(3, 3, 3) == 15
+    def test_rank_is_vertices_minus_components(self, monkeypatch):
+        fake_product(monkeypatch, {(0, 0, 0): 1, (6, 3, 3): 15})
+        assert whitney_numbers(6)[(3, 3)] == 15
+        assert whitney_numbers(7)[(3, 3)] == 7 * 15  # C(7, 6) plantings
 
-    def test_negative_count_rejected(self):
-        with pytest.raises(ConsistencyError):
-            extract_counts({(0, 0, 0): 1, (2, 2, 0): -1})
+    def test_negative_count_rejected(self, monkeypatch):
+        fake_product(monkeypatch, {(0, 0, 0): 1, (2, 2, 0): -1})
+        with pytest.raises(ConsistencyError, match="negative"):
+            whitney_numbers(2)
 
-    def test_paper_mode_product_needs_relaxed_bound_from_rank_five(self):
+    def test_paper_mode_product_needs_relaxed_bound_from_rank_five(self, monkeypatch):
         series = gamma_product(5, Mode.PAPER)
-        with pytest.raises(ConsistencyError):
-            extract_counts(series)
-        gamma = extract_counts(series, check_rank_bound=False)
-        assert gamma.count(5, 4, 0) == 10
+        assert whitney_numbers(5, Mode.PAPER)[(5, 4)] == 10
+        # read as a corrected product, the paper series breaks c >= r
+        fake_product(monkeypatch, series)
+        with pytest.raises(ConsistencyError, match="c >= r"):
+            whitney_numbers(5)
 
-    def test_empty_graph_required(self):
-        with pytest.raises(ConsistencyError):
-            GammaCoefficients({(1, 1, 0): 2})
-        with pytest.raises(ConsistencyError):
-            extract_counts({(0, 0, 0): 2})
+    def test_empty_graph_required(self, monkeypatch):
+        fake_product(monkeypatch, {(1, 1, 0): 2})
+        with pytest.raises(ConsistencyError, match="empty graph"):
+            whitney_numbers(1)
+        fake_product(monkeypatch, {(0, 0, 0): 2})
+        with pytest.raises(ConsistencyError, match="empty graph"):
+            whitney_numbers(1)
+
+
+class TestWhitneyNumbers:
+    def test_matches_census_through_rank_six(self):
+        for n in range(1, 7):
+            assert whitney_numbers(n) == central_census(n, limit=6), n
+
+    def test_paper_differs_from_rank_five(self):
+        for n in range(1, 5):
+            assert whitney_numbers(n, Mode.PAPER) == whitney_numbers(n), n
+        assert whitney_numbers(5, Mode.PAPER) != whitney_numbers(5)
+
+    def test_mode_by_value(self):
+        # Mode is a str enum: its values select the same variant as its members
+        assert whitney_numbers(5, "paper") == whitney_numbers(5, Mode.PAPER)
+        assert whitney_numbers(5, "corrected") == whitney_numbers(5)
+        with pytest.raises(ValueError):
+            whitney_numbers(3, "bogus")

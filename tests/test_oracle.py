@@ -444,7 +444,6 @@ class TestCentralCensus:
         assert census_in_order(n, rows) == dict(central_census(n).items())
 
     def test_rank_six_past_the_guard(self):
-        from pairsum.central import Mode, extract_counts, gamma_product
+        from pairsum.central import Mode, whitney_numbers
 
-        gamma = extract_counts(gamma_product(6, Mode.CORRECTED))
-        assert central_census(6, limit=6) == gamma.rank_cardinality_table(6)
+        assert central_census(6, limit=6) == whitney_numbers(6, Mode.CORRECTED)

@@ -5,14 +5,15 @@ graph-count tables (``bipartite``) and the oracle cross-checks (``verify``).
 Output formats are text (default), json (machine-readable, all big integers
 as decimal strings so any consumer can parse them losslessly) and latex
 (ready-to-paste display-math lines).  Exit codes: 0 success, 1 verification
-failure or a ``verify`` in which every requested check was skipped, 2 usage
-error.  Given the same arguments and format the output is byte-for-byte
-deterministic.
+failure, a ``verify`` in which every requested check was skipped, or a
+stdout closed by its reader, 2 usage error.  Given the same arguments and
+format the output is byte-for-byte deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from math import comb
 from typing import Optional, Sequence
@@ -588,10 +589,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"pairsum: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so that
+        # the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Three oracles, none of which touches the generating-function pipeline:
 
 * :func:`whitney_chi` sums (-1)^|B| t^(n-rank B) over every central subset
   of walls, read off :func:`central_census` (exact integer elimination;
-  guarded at n <= 5, n = 6 takes about 0.2 s);
+  guarded at n <= 5, n = 6 takes about 0.35 s);
 * :func:`finite_field_count` counts the points of F_q^n lying on no wall,
   by the partner classes {a, 1 - a} their coordinates take, at any n and
   any prime 5 <= q <= 2^31 - 1: O(n^2) integer work once per n, then O(n)
@@ -27,7 +27,6 @@ the matrix augmented with the constants.  No floating point anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb, gcd
@@ -90,16 +89,10 @@ def build_arrangement(n: int) -> list[Hyperplane]:
 # -- exact elimination -----------------------------------------------------
 
 
-def _normalize(row: Sequence[int]) -> Optional[Row]:
-    g = 0
-    for a in row:
-        if a:
-            g = gcd(g, abs(a))
-    if g == 0:
-        return None
-    if g > 1:
-        row = [a // g for a in row]
-    return tuple(row)
+def _primitive(row: Sequence[int], pivot: int) -> Row:
+    """row divided by the gcd of its entries, signed so that row[pivot] > 0."""
+    g = gcd(*row) if row[pivot] > 0 else -gcd(*row)
+    return tuple(row) if g == 1 else tuple([a // g for a in row])
 
 
 def _insert(state: State, row: Row, ncols: int) -> tuple[State, bool, bool]:
@@ -116,26 +109,21 @@ def _insert(state: State, row: Row, ncols: int) -> tuple[State, bool, bool]:
         if c:
             lead = erow[pivot]
             r = [a * lead - b * c for a, b in zip(r, erow)]
-    reduced = _normalize(r)
-    if reduced is None:
-        return state, False, False  # linearly dependent, still consistent
-    pivot = next((idx for idx in range(ncols) if reduced[idx]), None)
+    pivot = next((idx for idx, a in enumerate(r) if a), None)
     if pivot is None:
+        return state, False, False  # linearly dependent, still consistent
+    if pivot == ncols:
         return state, False, True  # 0 = nonzero constant: no common point
-    if reduced[pivot] < 0:
-        reduced = tuple(-a for a in reduced)
+    reduced = _primitive(r, pivot)
     # keep the state fully reduced: clear the new pivot column everywhere
-    rebuilt: list[tuple[int, Row]] = []
     lead = reduced[pivot]
+    rebuilt = [(pivot, reduced)]
     for p, erow in state:
         c = erow[pivot]
         if c:
-            erow = _normalize([a * lead - b * c for a, b in zip(erow, reduced)])
-            if erow[p] < 0:
-                erow = tuple(-a for a in erow)
+            erow = _primitive([a * lead - b * c for a, b in zip(erow, reduced)], p)
         rebuilt.append((p, erow))
-    rebuilt.append((pivot, reduced))
-    rebuilt.sort(key=lambda item: item[0])
+    rebuilt.sort()
     return tuple(rebuilt), True, False
 
 
@@ -329,6 +317,8 @@ def interpolate_counts(points: Sequence[tuple[int, int]], n: int) -> IntPolynomi
     polynomial and a ValueError explains which property failed.  A q may
     repeat only with the same value.
     """
+    from fractions import Fraction  # only here: it loads decimal and numbers
+
     values: dict[int, int] = {}
     for q, value in points:
         if values.setdefault(q, value) != value:
@@ -413,36 +403,33 @@ class GraphCensus(NamedTuple):
         return self._by_size(lambda comps, bip, iso: bip == 0)
 
 
-# (component label per vertex, colour per vertex, bipartite flag per component)
-GraphState = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[bool, ...]]
+# (2 * first vertex of its component + colour, per vertex; bitmask of the first
+# vertices whose component is bipartite)
+GraphState = Tuple[Tuple[int, ...], int]
 
 
 def _join_edge(state: GraphState, edge: tuple[int, int]) -> GraphState:
     """The state after adding edge (u, v).
 
-    Components are labelled in order of their first vertex, and colours are
-    relative to that vertex, so the state does not depend on the order in
-    which a component's vertices were reached.
+    A component is named by its first vertex, and colours are relative to
+    that vertex, so the state does not depend on the order in which a
+    component's vertices were reached.
     """
-    labels, colors, bipartite = state
+    code, bipartite = state
     u, v = edge
-    cu, cv = labels[u], labels[v]
-    same = colors[u] == colors[v]
-    if cu == cv:
-        if not same or not bipartite[cu]:
-            return state
-        return labels, colors, bipartite[:cu] + (False,) + bipartite[cu + 1 :]
-    # the merged component keeps the smaller label, whose first vertex comes
-    # first; the other side flips when the edge joins equal colours
-    low, high = min(cu, cv), max(cu, cv)
-    if same:
-        colors = tuple(c ^ (l == high) for l, c in zip(labels, colors))
-    labels = tuple(low if l == high else l - (l > high) for l in labels)
-    merged = bipartite[low] and bipartite[high]
-    bipartite = (
-        bipartite[:low] + (merged,) + bipartite[low + 1 : high] + bipartite[high + 1 :]
-    )
-    return labels, colors, bipartite
+    cu, cv = code[u], code[v]
+    fu, fv = cu >> 1, cv >> 1
+    if fu == fv:  # an edge between equal colours closes an odd cycle
+        return (code, bipartite & ~(1 << fu)) if cu == cv else state
+    # the component with the later first vertex joins the other one: xor with
+    # cu ^ cv ^ 1 moves each of its codes to the earlier first vertex, and
+    # flips its colour when the edge joins equal colours
+    low, high = min(fu, fv), max(fu, fv)
+    move = cu ^ cv ^ 1
+    code = tuple([c ^ move if c >> 1 == high else c for c in code])
+    if not bipartite >> high & 1:
+        bipartite &= ~(1 << low)
+    return code, bipartite & ~(1 << high)
 
 
 def enumerate_graphs(n: int, *, limit: int = GRAPH_CENSUS_LIMIT) -> GraphCensus:
@@ -460,12 +447,14 @@ def enumerate_graphs(n: int, *, limit: int = GRAPH_CENSUS_LIMIT) -> GraphCensus:
             f"enumerate_graphs visits 2^{comb(n, 2)} graphs and is guarded at "
             f"n <= {limit}; pass limit={n} to override"
         )
-    start: GraphState = (tuple(range(n)), (0,) * n, (True,) * n)
+    start: GraphState = (tuple(range(0, 2 * n, 2)), (1 << n) - 1)
     states = _forward_pass(start, combinations(range(n), 2), _join_edge)
     counts: dict[tuple[int, int, int, int], int] = {}
-    for (labels, _, bipartite), sizes in states.items():
-        iso = sum(labels.count(label) == 1 for label in range(len(bipartite)))
+    for (code, bipartite), sizes in states.items():
+        firsts = [c >> 1 for c in code]
+        comps = sum(f == v for v, f in enumerate(firsts))
+        iso = sum(firsts.count(v) == 1 for v in range(n))
         for size, count in sizes.items():
-            key = (size, len(bipartite), sum(bipartite), iso)
+            key = (size, comps, bipartite.bit_count(), iso)
             counts[key] = counts.get(key, 0) + count
     return GraphCensus(order=n, entries=CountTable(counts))

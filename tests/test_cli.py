@@ -398,6 +398,18 @@ class TestFailureExitCodes:
         assert code == 1
         assert "MISMATCH" in out
 
+    def test_closed_stdout_exits_one_without_traceback(self):
+        # table --to 60 writes about 91 KB, more than a pipe holds, so its
+        # writes fail once the reader has gone
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pairsum", "table", "--to", "60", "--max-n", "60"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""
+
 
 class TestParser:
     def test_usage_error_exit_two(self, capsys):
@@ -527,8 +539,8 @@ def test_commands_import_only_the_modules_they_run():
     # oracle, no Fraction series and no dataclass
     assert report["loaded"] == []
     assert report["verify_code"] == 0
-    # verify loads the oracles (and fractions, for interpolation) but still
-    # neither the series layer nor dataclasses
+    # verify loads the oracles but still neither the series layer nor
+    # dataclasses
     assert "pairsum.oracle" in report["loaded_after_verify"]
     assert "pairsum.series" not in report["loaded_after_verify"]
     assert "dataclasses" not in report["loaded_after_verify"]

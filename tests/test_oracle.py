@@ -1,8 +1,12 @@
 """Brute-force oracles: arrangement construction, exact centrality, subset
 expansion, finite-field counting and the graph census."""
 
-from itertools import product
-from math import comb
+import subprocess
+import sys
+from collections import deque
+from fractions import Fraction
+from itertools import combinations, product
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +79,65 @@ def census_in_order(n, rows):
     return totals
 
 
+def rational_echelon(rows, ncols):
+    """(pivot, row) pairs of the reduced row echelon form of rows over the
+    rationals, each row scaled to coprime integers with a positive pivot.  A
+    pivot at ncols, the constant column, means the rows share no point."""
+    matrix = [[Fraction(a) for a in row] for row in rows]
+    pivots = []
+    for col in range(ncols + 1):
+        top = len(pivots)
+        pick = next((i for i in range(top, len(matrix)) if matrix[i][col]), None)
+        if pick is None:
+            continue
+        matrix[top], matrix[pick] = matrix[pick], matrix[top]
+        matrix[top] = [a / matrix[top][col] for a in matrix[top]]
+        for i, other in enumerate(matrix):
+            if i != top and other[col]:
+                matrix[i] = [a - other[col] * b for a, b in zip(other, matrix[top])]
+        pivots.append(col)
+    out = []
+    for col, row in zip(pivots, matrix):
+        ints = [int(a * lcm(*(b.denominator for b in row))) for a in row]
+        out.append((col, tuple(a // gcd(*ints) for a in ints)))
+    return out
+
+
+def classify_by_search(n):
+    """Every labeled graph on [n] by breadth-first search: counts keyed by
+    (edges, components, bipartite components, isolated vertices)."""
+    edges = list(combinations(range(n), 2))
+    counts = {}
+    for mask in range(2 ** len(edges)):
+        neighbours = {v: [] for v in range(n)}
+        for k, (u, v) in enumerate(edges):
+            if mask >> k & 1:
+                neighbours[u].append(v)
+                neighbours[v].append(u)
+        colour = {}
+        components = bipartite = 0
+        for root in range(n):
+            if root in colour:
+                continue
+            components += 1
+            colour[root] = 0
+            proper = True
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                for w in neighbours[u]:
+                    if w not in colour:
+                        colour[w] = 1 - colour[u]
+                        queue.append(w)
+                    elif colour[w] == colour[u]:
+                        proper = False
+            bipartite += proper
+        isolated = sum(not neighbours[v] for v in range(n))
+        key = (bin(mask).count("1"), components, bipartite, isolated)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 class TestBuildArrangement:
     def test_counts(self):
         assert len(build_arrangement(1)) == 2
@@ -131,6 +194,33 @@ class TestRankAndCentrality:
         ]
         assert rank_and_centrality(subset) == (3, False)
         assert rank_and_centrality(subset[:3]) == (3, True)
+
+
+class TestInsert:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda ncols: st.tuples(
+                st.just(ncols),
+                st.lists(
+                    st.tuples(*[st.integers(-2, 2)] * (ncols + 1)), max_size=8
+                ),
+            )
+        )
+    )
+    def test_matches_rational_echelon_form(self, sample):
+        ncols, rows = sample
+        state, kept = (), []
+        for row in rows:
+            expected = rational_echelon([*kept, row], ncols)
+            inconsistent = any(col == ncols for col, _ in expected)
+            rank_grew = not inconsistent and len(expected) > len(state)
+            state, grew, bad = _insert(state, row, ncols)
+            assert (grew, bad) == (rank_grew, inconsistent), (kept, row)
+            if not bad:
+                kept.append(row)
+            # an inconsistent row leaves the state as it was
+            assert state == tuple(rational_echelon(kept, ncols)), (kept, row)
 
 
 class TestWhitneyChi:
@@ -281,6 +371,16 @@ class TestFiniteFieldCount:
 
 
 class TestInterpolation:
+    def test_importing_the_oracles_loads_no_fractions(self):
+        # Fraction is imported inside interpolate_counts, the only user
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, pairsum.oracle; "
+             "print([m for m in ('fractions', 'decimal') if m in sys.modules])"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_interpolate_counts_recovers_polynomial(self):
         poly = IntPolynomial([165, -181, 75, -14, 1])
         points = [(q, poly(q)) for q in (5, 7, 11, 13, 17)]
@@ -384,6 +484,14 @@ class TestEnumerateGraphs:
         assert nonbip.get(4, 0) == 0
         # but a triangle still fits inside order 5 with extra edges attached
         assert nonbip.get(9, 0) > 0
+
+    def test_matches_breadth_first_search(self):
+        for n in range(1, 6):
+            brute = classify_by_search(n)
+            entries = dict(enumerate_graphs(n).entries.items())
+            assert entries.keys() == brute.keys(), n
+            for key, count in brute.items():
+                assert entries[key] == count, (n, key)
 
     def test_guard(self):
         with pytest.raises(ValueError):

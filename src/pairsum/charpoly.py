@@ -122,11 +122,6 @@ class ChamberCounts(NamedTuple):
         return cls(total=sign * poly(-1), bounded=sign * poly(1))
 
 
-def hyperplane_count(n: int) -> int:
-    """C(n,2) pair walls plus 2n coordinate walls."""
-    return comb(n, 2) + 2 * n
-
-
 def _assemble(signed: Mapping[Tuple[int, int], int], n: int) -> IntPolynomial:
     """chi_n(t) = sum over m <= n and v of C(n, m) s(m, v) t^(n - m + v).
 

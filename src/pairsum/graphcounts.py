@@ -198,19 +198,9 @@ def count_table(table: Labeled) -> CountTable:
     )
 
 
-def _counts(caps: TruncationCaps, build: Callable[[int, int], Labeled]) -> CountTable:
-    _require_no_z(caps)
-    return count_table(build(caps.dx, caps.dy))
-
-
 def bicolored_series(caps: TruncationCaps) -> TruncatedSeries:
     """EGF of vertex-2-colored bipartite graphs by order (x) and size (y)."""
     return _egf(caps, bicolored_table)
-
-
-def all_graphs_series(caps: TruncationCaps) -> TruncatedSeries:
-    """EGF of all labeled graphs: x^n y^k coefficient C(C(n,2),k) / n!."""
-    return _egf(caps, all_graphs_table)
 
 
 def connected_bipartite_series(caps: TruncationCaps) -> TruncatedSeries:
@@ -249,11 +239,7 @@ def counts_from_egf(series: TruncatedSeries) -> CountTable:
     return CountTable(entries)
 
 
-def connected_bipartite_counts(caps: TruncationCaps) -> CountTable:
-    """Number of connected labeled bipartite graphs, keyed (order, size)."""
-    return _counts(caps, connected_bipartite_table)
-
-
 def connected_graph_counts(caps: TruncationCaps) -> CountTable:
     """Number of connected labeled graphs, keyed (order, size)."""
-    return _counts(caps, connected_table)
+    _require_no_z(caps)
+    return count_table(connected_table(caps.dx, caps.dy))

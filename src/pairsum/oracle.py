@@ -10,15 +10,18 @@ Three oracles, none of which touches the generating-function pipeline:
   any prime 5 <= q <= 2^31 - 1: O(n^2) integer work once per n, then O(n)
   per prime; :func:`interpolated_chi` rebuilds chi_n from n + 1 such counts;
 * :func:`enumerate_graphs` classifies every labeled graph on up to six
-  vertices by size, components, bipartite components and isolated vertices.
+  vertices by size, components, bipartite components and isolated vertices
+  (on a 2-vCPU Xeon, n = 6 takes about 0.02 s, n = 7 with limit=7 about
+  0.13 s).
 
 The subset census and the graph census are forward passes: they add one wall
-(or one edge) at a time to every state reached so far, where a state is what
-decides the rest of the count (the flat a central subset cuts out; the
-components and 2-colourings of a graph).  Subsets that reach the same state
-are counted together, so the work grows with the number of states, not with
-the 2^(walls) or 2^(edges) subsets they summarize.  Every oracle is serial,
-pure Python and deterministic.
+(or one edge) at a time, vertex by vertex, to every state reached so far,
+where a state is what decides the rest of the count (the flat a central
+subset cuts out; the components of a graph and a 2-colouring of each
+bipartite one).  Subsets that reach the same state are counted together,
+so the work grows with the number of states, not with the 2^(walls) or
+2^(edges) subsets they summarize.  Every oracle is serial, pure Python and
+deterministic.
 
 Centrality is decided by exact linear algebra: a wall set has a common
 point exactly when the rank of the stacked normal matrix equals the rank of
@@ -28,7 +31,7 @@ the matrix augmented with the constants.  No floating point anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import islice
 from math import comb, gcd
 from typing import Any, Callable, Hashable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
@@ -44,46 +47,6 @@ MAX_VERIFICATION_PRIME = 2**31 - 1
 
 Row = Tuple[int, ...]
 State = Tuple[Tuple[int, Row], ...]  # (pivot column, reduced row), sorted by pivot
-
-
-class Hyperplane(NamedTuple):
-    """One affine wall: normal . x = constant.
-
-    kind is "pair" (x_i + x_j = 1), "zero" (x_i = 0) or "one" (x_i = 1);
-    i and j are 0-based coordinate indices.
-    """
-
-    kind: str
-    i: int
-    j: Optional[int]
-    normal: Tuple[int, ...]
-    constant: int
-
-    @property
-    def label(self) -> str:
-        if self.kind == "pair":
-            return f"x{self.i + 1}+x{self.j + 1}=1"
-        if self.kind == "zero":
-            return f"x{self.i + 1}=0"
-        return f"x{self.i + 1}=1"
-
-
-def build_arrangement(n: int) -> list[Hyperplane]:
-    """All walls of the rank-n arrangement in deterministic order:
-    pair walls (i<j, lexicographic), then x_i=0, then x_i=1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    walls: list[Hyperplane] = []
-    for i, j in combinations(range(n), 2):
-        normal = tuple(1 if t in (i, j) else 0 for t in range(n))
-        walls.append(Hyperplane("pair", i, j, normal, 1))
-    for i in range(n):
-        normal = tuple(1 if t == i else 0 for t in range(n))
-        walls.append(Hyperplane("zero", i, None, normal, 0))
-    for i in range(n):
-        normal = tuple(1 if t == i else 0 for t in range(n))
-        walls.append(Hyperplane("one", i, None, normal, 1))
-    return walls
 
 
 # -- exact elimination -----------------------------------------------------
@@ -127,24 +90,20 @@ def _insert(state: State, row: Row, ncols: int) -> tuple[State, bool, bool]:
     return tuple(rebuilt), True, False
 
 
-def rank_and_centrality(hyperplanes: Iterable[Hyperplane]) -> tuple[int, bool]:
-    """Rank of the normal vectors, and whether the walls share a point.
+def rank_and_centrality(rows: Iterable[Row]) -> tuple[int, bool]:
+    """Rank of the normal vectors of augmented rows (coefficients, then the
+    constant), and whether the walls they describe share a point.
 
-    The rank is that of the coefficient matrix alone; a subset is central
-    exactly when no row reduces to 0 = nonzero.
+    The rank is that of the coefficient matrix alone; a set of walls is
+    central exactly when no row reduces to 0 = nonzero.
     """
-    walls = list(hyperplanes)
-    if not walls:
-        return 0, True
-    n = len(walls[0].normal)
     state: State = ()
     rank = 0
     central = True
-    for wall in walls:
-        state, grew, bad = _insert(state, (*wall.normal, wall.constant), n)
+    for row in rows:
+        state, grew, bad = _insert(state, row, len(row) - 1)
         rank += grew
-        if bad:
-            central = False
+        central = central and not bad
     return rank, central
 
 
@@ -183,12 +142,17 @@ def _arrangement_rows(n: int) -> list[Row]:
     """The walls as augmented rows, vertex by vertex: for each v, x_v = 0,
     x_v = 1, then x_u + x_v = 1 for every u < v.  A census does not depend on
     the order, and this one keeps fewer flats alive at each step."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
 
-    def place(w: Hyperplane) -> tuple[int, int, int]:
-        return (w.i if w.j is None else w.j, ("zero", "one", "pair").index(w.kind), w.i)
+    def wall(support: set[int], constant: int) -> Row:
+        return (*(int(t in support) for t in range(n)), constant)
 
-    walls = sorted(build_arrangement(n), key=place)
-    return [(*w.normal, w.constant) for w in walls]
+    rows: list[Row] = []
+    for v in range(n):
+        rows += [wall({v}, 0), wall({v}, 1)]
+        rows += [wall({u, v}, 1) for u in range(v)]
+    return rows
 
 
 def _guard(n: int, limit: int, what: str) -> None:
@@ -403,42 +367,38 @@ class GraphCensus(NamedTuple):
         return self._by_size(lambda comps, bip, iso: bip == 0)
 
 
-# (2 * first vertex of its component + colour, per vertex; bitmask of the first
-# vertices whose component is bipartite)
-GraphState = Tuple[Tuple[int, ...], int]
+def _join_edge(code: Tuple[int, ...], edge: tuple[int, int]) -> Tuple[int, ...]:
+    """The graph-census state after adding edge (u, v).
 
-
-def _join_edge(state: GraphState, edge: tuple[int, int]) -> GraphState:
-    """The state after adding edge (u, v).
-
-    A component is named by its first vertex, and colours are relative to
-    that vertex, so the state does not depend on the order in which a
-    component's vertices were reached.
+    code[v] = 3 * first + c, where first is the first vertex of v's
+    component, c is v's colour relative to first when the component is
+    bipartite, and c = 2 throughout a component with an odd cycle, whose
+    colouring decides nothing.  So the state is the same whatever order the
+    graph's edges came in.
     """
-    code, bipartite = state
     u, v = edge
-    cu, cv = code[u], code[v]
-    fu, fv = cu >> 1, cv >> 1
-    if fu == fv:  # an edge between equal colours closes an odd cycle
-        return (code, bipartite & ~(1 << fu)) if cu == cv else state
-    # the component with the later first vertex joins the other one: xor with
-    # cu ^ cv ^ 1 moves each of its codes to the earlier first vertex, and
-    # flips its colour when the edge joins equal colours
-    low, high = min(fu, fv), max(fu, fv)
-    move = cu ^ cv ^ 1
-    code = tuple([c ^ move if c >> 1 == high else c for c in code])
-    if not bipartite >> high & 1:
-        bipartite &= ~(1 << low)
-    return code, bipartite & ~(1 << high)
+    fu, su = divmod(code[u], 3)
+    fv, sv = divmod(code[v], 3)
+    low = min(fu, fv)
+    if fu == fv:
+        if su != sv or su == 2:
+            return code  # a proper edge, or one inside an odd component
+    elif su != 2 and sv != 2:
+        # two bipartite components: the later one joins the earlier one, its
+        # colours flipped when the edge joins equal colours
+        high, flip = max(fu, fv), su ^ sv ^ 1
+        return tuple([3 * low + (c % 3 ^ flip) if c // 3 == high else c for c in code])
+    # the edge closes an odd cycle, or joins a component that has one
+    return tuple([3 * low + 2 if c // 3 in (fu, fv) else c for c in code])
 
 
 def enumerate_graphs(n: int, *, limit: int = GRAPH_CENSUS_LIMIT) -> GraphCensus:
     """Classify all 2^C(n,2) labeled graphs on [n].
 
-    One forward pass over the edges, the state of a graph being its
-    components, which of them are bipartite, and a 2-colouring of each (proper
-    on the bipartite ones).  Graphs with the same state share one entry, so
-    the pass visits states, not graphs.
+    One forward pass over the edges, vertex by vertex ((u, v) for every
+    u < v, as v grows), the state of a graph being its components, which of
+    them are bipartite, and a 2-colouring of each bipartite one.  Graphs with
+    the same state share one entry, so the pass visits states, not graphs.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -447,14 +407,15 @@ def enumerate_graphs(n: int, *, limit: int = GRAPH_CENSUS_LIMIT) -> GraphCensus:
             f"enumerate_graphs visits 2^{comb(n, 2)} graphs and is guarded at "
             f"n <= {limit}; pass limit={n} to override"
         )
-    start: GraphState = (tuple(range(0, 2 * n, 2)), (1 << n) - 1)
-    states = _forward_pass(start, combinations(range(n), 2), _join_edge)
+    edges = [(u, v) for v in range(n) for u in range(v)]
+    states = _forward_pass(tuple(range(0, 3 * n, 3)), edges, _join_edge)
     counts: dict[tuple[int, int, int, int], int] = {}
-    for (code, bipartite), sizes in states.items():
-        firsts = [c >> 1 for c in code]
+    for code, sizes in states.items():
+        firsts = [c // 3 for c in code]
         comps = sum(f == v for v, f in enumerate(firsts))
+        bip = sum(c == 3 * v for v, c in enumerate(code))
         iso = sum(firsts.count(v) == 1 for v in range(n))
         for size, count in sizes.items():
-            key = (size, comps, bipartite.bit_count(), iso)
+            key = (size, comps, bip, iso)
             counts[key] = counts.get(key, 0) + count
     return GraphCensus(order=n, entries=CountTable(counts))

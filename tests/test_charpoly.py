@@ -9,9 +9,9 @@ from pairsum.charpoly import (
     chambers,
     chi,
     chi_table,
-    hyperplane_count,
     signs_alternate,
 )
+from pairsum.oracle import _arrangement_rows
 
 
 class TestIntPolynomial:
@@ -92,7 +92,7 @@ class TestChi:
             poly = chi(n)
             assert poly.degree == n
             assert poly.coefficient(n) == 1
-            assert poly.coefficient(n - 1) == -hyperplane_count(n)
+            assert poly.coefficient(n - 1) == -len(_arrangement_rows(n))
 
 
 class TestChambers:
@@ -190,7 +190,7 @@ class TestSignsAlternate:
 
 class TestHyperplaneCount:
     def test_values(self):
-        assert hyperplane_count(1) == 2
-        assert hyperplane_count(2) == 5
-        assert hyperplane_count(3) == 9
-        assert hyperplane_count(4) == 14
+        assert len(_arrangement_rows(1)) == 2
+        assert len(_arrangement_rows(2)) == 5
+        assert len(_arrangement_rows(3)) == 9
+        assert len(_arrangement_rows(4)) == 14

@@ -10,8 +10,9 @@ from pairsum.graphcounts import (
     CountTable,
     bicolored_series,
     bipartite_no_isolated_series,
-    connected_bipartite_counts,
+    connected_bipartite_table,
     connected_graph_counts,
+    count_table,
     counts_from_egf,
     default_caps,
     graphs_no_isolated_series,
@@ -56,7 +57,7 @@ class TestBicoloredSeries:
 
 class TestConnectedBipartiteCounts:
     def test_known_small_values(self):
-        b = connected_bipartite_counts(default_caps(6))
+        b = count_table(connected_bipartite_table(6, comb(6, 2)))
         assert b[(1, 0)] == 1  # single vertex
         assert b[(2, 1)] == 1  # single edge
         assert b[(3, 2)] == 3  # labeled paths on 3 vertices
@@ -66,14 +67,14 @@ class TestConnectedBipartiteCounts:
     def test_zero_pattern(self):
         # no connected bipartite graph has k < n-1 edges (n >= 2) or more
         # than floor(n/2)*ceil(n/2) edges
-        b = connected_bipartite_counts(default_caps(6))
+        b = count_table(connected_bipartite_table(6, comb(6, 2)))
         for n in range(2, 7):
             for k in range(0, comb(6, 2) + 7):
                 if k < n - 1 or k > (n // 2) * ((n + 1) // 2):
                     assert b[(n, k)] == 0, (n, k)
 
     def test_matches_census_through_order_six(self):
-        b = connected_bipartite_counts(default_caps(6))
+        b = count_table(connected_bipartite_table(6, comb(6, 2)))
         for n in range(1, 7):
             brute = enumerate_graphs(n).connected_bipartite_by_size()
             for k in range(0, comb(n, 2) + 1):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import deque
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from math import comb, gcd, lcm
 
@@ -18,7 +19,7 @@ from pairsum.oracle import (
     _arrangement_rows,
     _forward_pass,
     _insert,
-    build_arrangement,
+    _join_edge,
     central_census,
     default_verification_primes,
     enumerate_graphs,
@@ -35,8 +36,11 @@ from pairsum.oracle import (
 FIELD_PRIMES = [q for q in range(5, 12242) if is_verification_prime(q)]
 
 
-def walls_by_label(n):
-    return {h.label: h for h in build_arrangement(n)}
+def wall(n, label):
+    """The augmented row of a wall written like "x1+x3=1" or "x2=0"."""
+    lhs, constant = label.split("=")
+    support = {int(x[1:]) - 1 for x in lhs.split("+")}
+    return (*(int(t in support) for t in range(n)), int(constant))
 
 
 def orbit_walk_count(n, q):
@@ -140,35 +144,35 @@ def classify_by_search(n):
 
 class TestBuildArrangement:
     def test_counts(self):
-        assert len(build_arrangement(1)) == 2
-        assert len(build_arrangement(2)) == 5
-        assert len(build_arrangement(3)) == 9
+        assert len(_arrangement_rows(1)) == 2
+        assert len(_arrangement_rows(2)) == 5
+        assert len(_arrangement_rows(3)) == 9
 
     def test_deterministic_order(self):
-        labels = [h.label for h in build_arrangement(3)]
-        assert labels == [
-            "x1+x2=1",
-            "x1+x3=1",
-            "x2+x3=1",
-            "x1=0",
-            "x2=0",
-            "x3=0",
-            "x1=1",
-            "x2=1",
-            "x3=1",
+        # vertex by vertex: x_v = 0, x_v = 1, then x_u + x_v = 1 for u < v
+        assert _arrangement_rows(3) == [
+            (1, 0, 0, 0),
+            (1, 0, 0, 1),
+            (0, 1, 0, 0),
+            (0, 1, 0, 1),
+            (1, 1, 0, 1),
+            (0, 0, 1, 0),
+            (0, 0, 1, 1),
+            (1, 0, 1, 1),
+            (0, 1, 1, 1),
         ]
 
     def test_normals(self):
-        walls = walls_by_label(3)
-        assert walls["x1+x3=1"].normal == (1, 0, 1)
-        assert walls["x1+x3=1"].constant == 1
-        assert walls["x2=0"].normal == (0, 1, 0)
-        assert walls["x2=0"].constant == 0
-        assert walls["x2=1"].constant == 1
+        # every labelled wall is a row, once
+        labels = ["x1+x2=1", "x1+x3=1", "x2+x3=1", "x1=0", "x2=0", "x3=0",
+                  "x1=1", "x2=1", "x3=1"]
+        assert wall(3, "x1+x3=1") == (1, 0, 1, 1)
+        assert wall(3, "x2=0") == (0, 1, 0, 0)
+        assert sorted(_arrangement_rows(3)) == sorted(wall(3, label) for label in labels)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            build_arrangement(0)
+            _arrangement_rows(0)
 
 
 class TestRankAndCentrality:
@@ -176,22 +180,14 @@ class TestRankAndCentrality:
         assert rank_and_centrality([]) == (0, True)
 
     def test_parallel_walls(self):
-        walls = walls_by_label(1)
-        assert rank_and_centrality([walls["x1=0"], walls["x1=1"]]) == (1, False)
+        assert rank_and_centrality([wall(1, "x1=0"), wall(1, "x1=1")]) == (1, False)
 
     def test_transversal_point(self):
-        walls = walls_by_label(2)
-        assert rank_and_centrality([walls["x1+x2=1"], walls["x1=0"]]) == (2, True)
+        assert rank_and_centrality([wall(2, "x1+x2=1"), wall(2, "x1=0")]) == (2, True)
 
     def test_odd_cycle_conflicts_with_zero_wall(self):
         # the three pair walls force x = (1/2, 1/2, 1/2)
-        walls = walls_by_label(3)
-        subset = [
-            walls["x1+x2=1"],
-            walls["x2+x3=1"],
-            walls["x1+x3=1"],
-            walls["x1=0"],
-        ]
+        subset = [wall(3, label) for label in ("x1+x2=1", "x2+x3=1", "x1+x3=1", "x1=0")]
         assert rank_and_centrality(subset) == (3, False)
         assert rank_and_centrality(subset[:3]) == (3, True)
 
@@ -290,11 +286,11 @@ class TestFiniteFieldCount:
         # the literal definition: scan F_q^n and test each wall modulo q
         extra = [(2, 13), (3, 13), (4, 5), (4, 7), (5, 5)]
         for n, q in [(n, q) for n in (1, 2, 3) for q in (5, 7, 11)] + extra:
-            walls = build_arrangement(n)
+            rows = _arrangement_rows(n)
             off = sum(
                 all(
-                    sum(a * x for a, x in zip(w.normal, point)) % q != w.constant
-                    for w in walls
+                    sum(a * x for a, x in zip(row[:n], point)) % q != row[n]
+                    for row in rows
                 )
                 for point in product(range(q), repeat=n)
             )
@@ -486,12 +482,22 @@ class TestEnumerateGraphs:
         assert nonbip.get(9, 0) > 0
 
     def test_matches_breadth_first_search(self):
-        for n in range(1, 6):
+        for n in range(1, 7):
             brute = classify_by_search(n)
             entries = dict(enumerate_graphs(n).entries.items())
             assert entries.keys() == brute.keys(), n
             for key, count in brute.items():
                 assert entries[key] == count, (n, key)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.randoms(use_true_random=False))
+    def test_state_does_not_depend_on_edge_order(self, n, rng):
+        # a graph's state does not depend on its edge order: the fold over a
+        # random permutation of its edges equals the fold vertex by vertex
+        edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5]
+        shuffled = rng.sample(edges, len(edges))
+        start = tuple(range(0, 3 * n, 3))
+        assert reduce(_join_edge, shuffled, start) == reduce(_join_edge, edges, start)
 
     def test_guard(self):
         with pytest.raises(ValueError):
@@ -502,8 +508,9 @@ class TestEnumerateGraphs:
     def test_order_seven_past_the_guard(self):
         from pairsum.graphcounts import (
             bipartite_no_isolated_series,
-            connected_bipartite_counts,
+            connected_bipartite_table,
             connected_graph_counts,
+            count_table,
             counts_from_egf,
             default_caps,
             graphs_no_isolated_series,
@@ -513,7 +520,10 @@ class TestEnumerateGraphs:
         census = enumerate_graphs(7, limit=7)
         assert census.total() == 2**21
         views = (
-            (connected_bipartite_counts(caps), census.connected_bipartite_by_size()),
+            (
+                count_table(connected_bipartite_table(7, comb(7, 2))),
+                census.connected_bipartite_by_size(),
+            ),
             (connected_graph_counts(caps), census.connected_by_size()),
             (counts_from_egf(graphs_no_isolated_series(caps)), census.no_isolated_by_size()),
             (

@@ -1,6 +1,8 @@
 """Structural checks on the published reference data and the diff helper."""
 
-from pairsum.charpoly import IntPolynomial, hyperplane_count
+from math import comb
+
+from pairsum.charpoly import IntPolynomial
 from pairsum.published import (
     PUBLISHED_CHAMBER_TOTAL,
     diff_polynomials,
@@ -24,7 +26,8 @@ class TestPublishedData:
             poly = published_chi(n)
             assert poly.degree == n
             assert poly.coefficient(n) == 1
-            assert poly.coefficient(n - 1) == -hyperplane_count(n)
+            # C(n,2) pair walls plus 2n coordinate walls
+            assert poly.coefficient(n - 1) == -(comb(n, 2) + 2 * n)
 
     def test_published_chamber_column_inconsistent_with_rows_at_seven(self):
         # the published polynomial and chamber column contradict each other

@@ -142,8 +142,6 @@ def _arrangement_rows(n: int) -> list[Row]:
     """The walls as augmented rows, vertex by vertex: for each v, x_v = 0,
     x_v = 1, then x_u + x_v = 1 for every u < v.  A census does not depend on
     the order, and this one keeps fewer flats alive at each step."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
 
     def wall(support: set[int], constant: int) -> Row:
         return (*(int(t in support) for t in range(n)), constant)

@@ -158,7 +158,7 @@ def test_criterion_4_published_table_report():
 @criterion(5, "graph census equivalences and the order-5 divergence")
 def test_criterion_5_graph_census():
     start = time.perf_counter()
-    bip = count_table(connected_bipartite_table(6, comb(6, 2)))
+    bip = count_table(connected_bipartite_table(6, default_caps(6).dy))
     conn = connected_graph_counts(default_caps(6))
     for n in range(1, 7):
         census = enumerate_graphs(n)

@@ -57,7 +57,7 @@ class TestBicoloredSeries:
 
 class TestConnectedBipartiteCounts:
     def test_known_small_values(self):
-        b = count_table(connected_bipartite_table(6, comb(6, 2)))
+        b = count_table(connected_bipartite_table(6, default_caps(6).dy))
         assert b[(1, 0)] == 1  # single vertex
         assert b[(2, 1)] == 1  # single edge
         assert b[(3, 2)] == 3  # labeled paths on 3 vertices
@@ -67,14 +67,14 @@ class TestConnectedBipartiteCounts:
     def test_zero_pattern(self):
         # no connected bipartite graph has k < n-1 edges (n >= 2) or more
         # than floor(n/2)*ceil(n/2) edges
-        b = count_table(connected_bipartite_table(6, comb(6, 2)))
+        b = count_table(connected_bipartite_table(6, default_caps(6).dy))
         for n in range(2, 7):
             for k in range(0, comb(6, 2) + 7):
                 if k < n - 1 or k > (n // 2) * ((n + 1) // 2):
                     assert b[(n, k)] == 0, (n, k)
 
     def test_matches_census_through_order_six(self):
-        b = count_table(connected_bipartite_table(6, comb(6, 2)))
+        b = count_table(connected_bipartite_table(6, default_caps(6).dy))
         for n in range(1, 7):
             brute = enumerate_graphs(n).connected_bipartite_by_size()
             for k in range(0, comb(n, 2) + 1):

@@ -172,7 +172,7 @@ class TestBuildArrangement:
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            _arrangement_rows(0)
+            central_census(0)
 
 
 class TestRankAndCentrality:
@@ -521,7 +521,7 @@ class TestEnumerateGraphs:
         assert census.total() == 2**21
         views = (
             (
-                count_table(connected_bipartite_table(7, comb(7, 2))),
+                count_table(connected_bipartite_table(7, caps.dy)),
                 census.connected_bipartite_by_size(),
             ),
             (connected_graph_counts(caps), census.connected_by_size()),

@@ -113,12 +113,8 @@ def _product(factors: Tuple[Labeled, Labeled, Labeled, Labeled], cap: int) -> La
 def _full_tables(n: int) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
     """The base tables of Gamma, resolved by cardinality."""
     cap = cardinality_cap(n)
-    return (
-        connected_bipartite_table(n, cap),
-        connected_table(n, cap),
-        gamma2(n),
-        gamma3_connected(n),
-    )
+    cb = connected_bipartite_table(n, cap)
+    return cb, connected_table(n, cap), gamma2(n), gamma3_connected(cb)
 
 
 def _signed_tables(n: int) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
@@ -147,8 +143,10 @@ def gamma2(n: int) -> Labeled:
     return [{(m, 0): 2**m} for m in range(n + 1)]
 
 
-def gamma3_connected(n: int) -> Labeled:
-    """Connected type-3 graphs by order m and cardinality.
+def gamma3_connected(bip: Labeled) -> Labeled:
+    """Connected type-3 graphs by order m and cardinality, from bip, the
+    connected bipartite graphs of connected_bipartite_table(n, cap) with
+    no size cut off (cap >= n^2/4).
 
     A connected type-3 graph is a connected bipartite graph on m >= 2
     vertices carrying t >= 1 colored vertices, colored consistently with the
@@ -159,14 +157,13 @@ def gamma3_connected(n: int) -> Labeled:
 
     where b counts connected bipartite graphs by (order, size) and t runs
     over 1..min(m, c-m+1).  Single colored vertices (m = 1) belong to the
-    type-2 factor, so m starts at 2.
+    type-2 factor, so m starts at 2.  A bipartite graph on m vertices has at
+    most m^2/4 edges, so c stops at m^2/4 + m.
     """
-    cap = cardinality_cap(n)
-    bip = connected_bipartite_table(n, cap)
     table: Labeled = [{}, {}]
-    for m in range(2, n + 1):
+    for m in range(2, len(bip)):
         entry = {}
-        for c in range(m, min(cap, (m * m) // 4 + m) + 1):
+        for c in range(m, (m * m) // 4 + m + 1):
             total = sum(
                 2 * bip[m].get((c - t, 0), 0) * comb(m, t)
                 for t in range(1, min(m, c - m + 1) + 1)

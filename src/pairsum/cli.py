@@ -8,6 +8,9 @@ as decimal strings so any consumer can parse them losslessly) and latex
 failure, a ``verify`` in which every requested check was skipped, or a
 stdout closed by its reader, 2 usage error.  Given the same arguments and
 format the output is byte-for-byte deterministic.
+
+Each command returns its exit code, its json payload and a renderer for
+each other format it supports; :func:`main` writes the one format asked for.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import argparse
 import os
 import sys
 from math import comb
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 from . import __version__, graphcounts
 from .central import Mode
@@ -26,7 +29,9 @@ from .charpoly import ChamberCounts, IntPolynomial, chambers, chi, chi_table, si
 # functions that use them, so that a command loads only the code it runs.
 
 DEFAULT_MAX_N = 12
-_ORACLE_NAMES = ("whitney", "ffield", "graphs")
+
+# (exit code, json payload, {format: renderer}) as a command returns it
+Outcome = tuple[int, dict, dict[str, Callable[[], str]]]
 
 
 class UsageError(Exception):
@@ -55,71 +60,86 @@ def _check_range(flag: str, value: int, low: int, max_n: int) -> None:
         raise UsageError(f"{flag} must be between {low} and {max_n}")
 
 
-def _emit(text: str) -> int:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-    return 0
+def _reject_repeats(flag: str, items: Sequence, noun: str) -> None:
+    repeated = sorted({item for item in items if items.count(item) > 1})
+    if repeated:
+        raise UsageError(f"{flag} repeats {', '.join(map(str, repeated))}; list each {noun} once")
 
 
-def _emit_json(payload: dict) -> None:
-    import json
-
-    sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
-
-
-# -- charpoly ----------------------------------------------------------------
+def _latex_array(columns: str, header: tuple, rows: list[tuple]) -> str:
+    lines = [f"\\[ \\begin{{array}}{{{columns}}} {' & '.join(header)} \\\\ \\hline"]
+    lines += [" & ".join(map(str, row)) + " \\\\" for row in rows]
+    return "\n".join(lines + ["\\end{array} \\]"])
 
 
-def _cmd_charpoly(args: argparse.Namespace) -> int:
+# -- charpoly and chambers ---------------------------------------------------
+
+
+def _cmd_charpoly(args: argparse.Namespace) -> Outcome:
     n = args.n
     _check_range("--n", n, 1, args.max_n)
-    mode = Mode(args.mode)
-    poly = chi(n, mode)
-    if args.format == "json":
-        _emit_json({"n": n, "mode": mode.value, "coeffs": _str_coeffs(poly)})
-        return 0
-    if args.format == "latex":
-        return _emit(f"\\[ \\chi_{{{n}}}(t) = {poly.latex()} \\]")
-    return _emit(str(poly))
+    poly = chi(n, Mode(args.mode))
+    return 0, {"n": n, "mode": args.mode, "coeffs": _str_coeffs(poly)}, {
+        "text": lambda: str(poly),
+        "latex": lambda: f"\\[ \\chi_{{{n}}}(t) = {poly.latex()} \\]",
+    }
 
 
-# -- chambers ----------------------------------------------------------------
-
-
-def _cmd_chambers(args: argparse.Namespace) -> int:
+def _cmd_chambers(args: argparse.Namespace) -> Outcome:
     n = args.n
     _check_range("--n", n, 1, args.max_n)
-    mode = Mode(args.mode)
-    counts = chambers(n, mode)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": n,
-                "mode": mode.value,
-                "total": str(counts.total),
-                "bounded": str(counts.bounded),
-            }
-        )
-        return 0
-    if args.format == "latex":
-        return _emit(
-            f"\\[ r_{{{n}}} = {counts.total}, \\qquad b_{{{n}}} = {counts.bounded} \\]"
-        )
-    return _emit(
-        f"chambers (total): {counts.total}\n"
-        f"relatively bounded chambers: {counts.bounded}"
-    )
+    total, bounded = chambers(n, Mode(args.mode))
+    payload = {"n": n, "mode": args.mode, "total": str(total), "bounded": str(bounded)}
+    return 0, payload, {
+        "text": lambda: f"chambers (total): {total}\nrelatively bounded chambers: {bounded}",
+        "latex": lambda: f"\\[ r_{{{n}}} = {total}, \\qquad b_{{{n}}} = {bounded} \\]",
+    }
 
 
 # -- table -------------------------------------------------------------------
 
 
-def _table_rows(n_max: int, mode: Mode) -> list[dict]:
+def _render_table_text(n_max: int, mode: str, rows: list[dict]) -> str:
+    lines = [f"characteristic polynomials, mode={mode}, n=2..{n_max}"]
+    for row in rows:
+        lines.append(f"n={row['n']}: {row['polynomial']}")
+        lines.append(
+            f"  chambers total={row['chambers']['total']} "
+            f"bounded={row['chambers']['bounded']}"
+        )
+        if not row["signs_alternate"]:
+            lines.append("  WARNING: coefficient signs do not alternate")
+        pub = row["published"]
+        if pub is None:
+            lines.append("  published: (none)")
+            continue
+        if not pub["signs_alternate"]:
+            lines.append("  published row: coefficient signs do not alternate")
+        if pub["matches"]:
+            lines.append("  published: matches")
+            continue
+        for diff in pub["polynomial_differences"]:
+            lines.append(
+                f"  published differs at t^{diff['power']}: "
+                f"computed {diff['computed']}, published {diff['published']}"
+            )
+        cd = pub["chamber_total_difference"]
+        if cd is not None:
+            lines.append(
+                f"  published chamber total differs: computed {cd['computed']}, "
+                f"published {cd['published']}"
+            )
+    return "\n".join(lines)
+
+
+def _cmd_table(args: argparse.Namespace) -> Outcome:
+    n_max = args.to
+    _check_range("--to", n_max, 2, args.max_n)
     from .published import published_chamber_total, published_chi
 
+    polys = chi_table(n_max, Mode(args.mode))
     rows = []
-    for n, poly in zip(range(2, n_max + 1), chi_table(n_max, mode)):
+    for n, poly in enumerate(polys, 2):
         total, bounded = ChamberCounts.of(poly)
         row = {
             "n": n,
@@ -145,138 +165,78 @@ def _table_rows(n_max: int, mode: Mode) -> list[dict]:
                 "matches": not differences and chamber_diff is None,
             }
         rows.append(row)
-    return rows
 
+    def latex() -> str:
+        lines = [f"\\[ \\chi_{{{n}}}(t) = {poly.latex()} \\]" for n, poly in enumerate(polys, 2)]
+        counts = [(row["n"], row["chambers"]["total"], row["chambers"]["bounded"]) for row in rows]
+        return "\n".join(lines + [_latex_array("r|rr", ("n", "r_n", "b_n"), counts)])
 
-def _render_table_text(n_max: int, mode: Mode, rows: list[dict]) -> str:
-    lines = [f"characteristic polynomials, mode={mode.value}, n=2..{n_max}"]
-    for row in rows:
-        n = row["n"]
-        lines.append(f"n={n}: {row['polynomial']}")
-        lines.append(
-            f"  chambers total={row['chambers']['total']} "
-            f"bounded={row['chambers']['bounded']}"
-        )
-        if not row["signs_alternate"]:
-            lines.append("  WARNING: coefficient signs do not alternate")
-        pub = row["published"]
-        if pub is not None and not pub["signs_alternate"]:
-            lines.append("  published row: coefficient signs do not alternate")
-        if pub is None:
-            lines.append("  published: (none)")
-            continue
-        if pub["matches"]:
-            lines.append("  published: matches")
-            continue
-        for diff in pub["polynomial_differences"]:
-            lines.append(
-                f"  published differs at t^{diff['power']}: "
-                f"computed {diff['computed']}, published {diff['published']}"
-            )
-        if pub["chamber_total_difference"] is not None:
-            cd = pub["chamber_total_difference"]
-            lines.append(
-                f"  published chamber total differs: computed {cd['computed']}, "
-                f"published {cd['published']}"
-            )
-    return "\n".join(lines)
-
-
-def _render_table_latex(rows: list[dict]) -> str:
-    lines = []
-    for row in rows:
-        poly = IntPolynomial([int(c) for c in row["coeffs"]])
-        lines.append(f"\\[ \\chi_{{{row['n']}}}(t) = {poly.latex()} \\]")
-    lines.append("\\[ \\begin{array}{r|rr} n & r_n & b_n \\\\ \\hline")
-    for row in rows:
-        lines.append(
-            f"{row['n']} & {row['chambers']['total']} & {row['chambers']['bounded']} \\\\"
-        )
-    lines.append("\\end{array} \\]")
-    return "\n".join(lines)
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    n_max = args.to
-    _check_range("--to", n_max, 2, args.max_n)
-    mode = Mode(args.mode)
-    rows = _table_rows(n_max, mode)
-    if args.format == "json":
-        _emit_json({"to": n_max, "mode": mode.value, "rows": rows})
-        return 0
-    if args.format == "latex":
-        return _emit(_render_table_latex(rows))
-    return _emit(_render_table_text(n_max, mode, rows))
+    return 0, {"to": n_max, "mode": args.mode, "rows": rows}, {
+        "text": lambda: _render_table_text(n_max, args.mode, rows),
+        "latex": latex,
+    }
 
 
 # -- bipartite ---------------------------------------------------------------
 
 
-def _cmd_bipartite(args: argparse.Namespace) -> int:
+def _cmd_bipartite(args: argparse.Namespace) -> Outcome:
     n_max = args.to
     _check_range("--to", n_max, 1, DEFAULT_MAX_N)
     # no graph on n_max vertices has more than C(n_max, 2) edges
     table = graphcounts.connected_bipartite_table(n_max, comb(n_max, 2))
-    counts = graphcounts.count_table(table)
-    brute: dict[int, dict[int, int]] = {}
+    census = None
     if n_max <= graphcounts.GRAPH_CENSUS_LIMIT:
         from .oracle import enumerate_graphs
 
-        for n in range(1, n_max + 1):
-            brute[n] = enumerate_graphs(n).connected_bipartite_by_size()
+        census = {n: enumerate_graphs(n).connected_bipartite_by_size() for n in range(1, n_max + 1)}
     rows = []
     mismatch = False
-    for (n, k) in sorted(counts.keys()):
-        if n > n_max:
-            continue
-        row = {"n": n, "k": k, "count": str(counts[(n, k)])}
-        if brute:
-            census_value = brute[n].get(k, 0)
-            row["census"] = str(census_value)
-            if census_value != counts[(n, k)]:
-                mismatch = True
+    for (n, k), count in sorted(graphcounts.count_table(table).items()):
+        row = {"n": n, "k": k, "count": str(count)}
+        if census is not None:
+            row["census"] = str(census[n].get(k, 0))
+            mismatch = mismatch or row["census"] != row["count"]
         rows.append(row)
-    exit_code = 1 if mismatch else 0
-    if args.format == "json":
-        payload = {"to": n_max, "rows": rows, "census_included": bool(brute)}
-        if brute:
-            payload["census_matches"] = not mismatch
-        _emit_json(payload)
-        return exit_code
-    if args.format == "latex":
-        lines = ["\\[ \\begin{array}{rrr} n & k & \\bar b_{n,k} \\\\ \\hline"]
+    payload = {"to": n_max, "rows": rows, "census_included": census is not None}
+    if census is not None:
+        payload["census_matches"] = not mismatch
+
+    def text() -> str:
+        lines = ["connected labeled bipartite graphs by (order, size)"]
         for row in rows:
-            lines.append(f"{row['n']} & {row['k']} & {row['count']} \\\\")
-        lines.append("\\end{array} \\]")
-        _emit("\n".join(lines))
-        return exit_code
-    lines = ["connected labeled bipartite graphs by (order, size)"]
-    for row in rows:
-        line = f"b({row['n']},{row['k']}) = {row['count']}"
-        if "census" in row:
-            tag = "ok" if row["census"] == row["count"] else "MISMATCH"
-            line += f"  [census {row['census']}: {tag}]"
-        lines.append(line)
-    if brute:
-        lines.append("census comparison: " + ("PASS" if not mismatch else "FAIL"))
-    _emit("\n".join(lines))
-    return exit_code
+            line = f"b({row['n']},{row['k']}) = {row['count']}"
+            if "census" in row:
+                tag = "ok" if row["census"] == row["count"] else "MISMATCH"
+                line += f"  [census {row['census']}: {tag}]"
+            lines.append(line)
+        if census is not None:
+            lines.append("census comparison: " + ("FAIL" if mismatch else "PASS"))
+        return "\n".join(lines)
+
+    return int(mismatch), payload, {
+        "text": text,
+        "latex": lambda: _latex_array(
+            "rrr", ("n", "k", "\\bar b_{n,k}"), [(r["n"], r["k"], r["count"]) for r in rows]
+        ),
+    }
 
 
 # -- verify ------------------------------------------------------------------
+#
+# Every oracle takes (n, the polynomials of both modes, the published one or
+# None, the primes) and returns (its report section, whether corrected mode
+# failed).
 
 
 def _compare(computed: IntPolynomial, reference: IntPolynomial, label: str) -> dict:
     differences = _diff_entries(computed, reference)
-    return {
-        "result": "PASS" if not differences else label,
-        "differences": differences,
-    }
+    return {"result": label if differences else "PASS", "differences": differences}
 
 
 def _verify_whitney(
-    n: int, polys: dict[str, IntPolynomial], reference: Optional[IntPolynomial]
-) -> dict:
+    n: int, polys: dict[str, IntPolynomial], reference: IntPolynomial | None, primes: Sequence[int]
+) -> tuple[dict, bool]:
     from .oracle import SUBSET_SCAN_LIMIT, whitney_chi
 
     if n > SUBSET_SCAN_LIMIT:
@@ -284,7 +244,7 @@ def _verify_whitney(
             "status": "skipped",
             "reason": "whitney oracle enumerates all wall subsets and is guarded at "
             f"n <= {SUBSET_SCAN_LIMIT}",
-        }
+        }, False
     oracle_poly = whitney_chi(n)
     section = {
         "status": "ran",
@@ -294,56 +254,53 @@ def _verify_whitney(
     }
     if reference is not None:
         section["published_vs_oracle"] = _compare(reference, oracle_poly, "DIVERGENT")
-    return section
+    return section, section["corrected"]["result"] == "FAIL"
 
 
 def _verify_ffield(
-    n: int, polys: dict[str, IntPolynomial], primes: Sequence[int]
-) -> dict:
+    n: int, polys: dict[str, IntPolynomial], reference: IntPolynomial | None, primes: Sequence[int]
+) -> tuple[dict, bool]:
     from .oracle import finite_field_count, interpolate_counts
 
-    rows = []
-    failed = False
-    for q in primes:
-        count = finite_field_count(n, q)
-        row = {
+    counts = [(q, finite_field_count(n, q)) for q in primes]
+    rows = [
+        {
             "q": q,
             "status": "ran",
             "count": str(count),
             "corrected": "PASS" if polys["corrected"](q) == count else "FAIL",
             "paper": "PASS" if polys["paper"](q) == count else "DIVERGENT",
         }
-        failed = failed or row["corrected"] == "FAIL"
-        rows.append(row)
+        for q, count in counts
+    ]
+    failed = any(row["corrected"] == "FAIL" for row in rows)
     section = {"status": "ran", "primes": rows, "failed": failed}
     # with n+1 or more sampled primes the whole polynomial is determined:
     # interpolate and compare every coefficient at once
-    samples = [(row["q"], int(row["count"])) for row in rows]
-    if len(samples) >= n + 1:
+    if len(counts) >= n + 1:
         try:
-            interp = interpolate_counts(samples, n)
+            interp = interpolate_counts(counts, n)
         except ValueError as exc:
             section["interpolation"] = {"result": "FAIL", "reason": str(exc)}
-            section["failed"] = True
         else:
             section["interpolation"] = {
                 "result": "PASS" if interp == polys["corrected"] else "FAIL",
                 "coeffs": _str_coeffs(interp),
                 "paper": "PASS" if interp == polys["paper"] else "DIVERGENT",
             }
-            section["failed"] = (
-                section["failed"] or section["interpolation"]["result"] == "FAIL"
-            )
-    return section
+        failed = section["failed"] = failed or section["interpolation"]["result"] == "FAIL"
+    return section, failed
 
 
-def _verify_graphs(n: int) -> dict:
+def _verify_graphs(
+    n: int, polys: dict[str, IntPolynomial], reference: IntPolynomial | None, primes: Sequence[int]
+) -> tuple[dict, bool]:
     if n > graphcounts.GRAPH_CENSUS_LIMIT:
         return {
             "status": "skipped",
             "reason": "graph census enumerates all 2^C(n,2) graphs and is guarded at "
             f"n <= {graphcounts.GRAPH_CENSUS_LIMIT}",
-        }
+        }, False
     from .oracle import enumerate_graphs
 
     census = enumerate_graphs(n)
@@ -361,58 +318,15 @@ def _verify_graphs(n: int) -> dict:
         formula = {k: v for (m, k), v in table.items() if m == n}
         checks.append({"name": name, "result": "PASS" if formula == brute else "FAIL"})
     failed = any(c["result"] == "FAIL" for c in checks)
-    return {"status": "ran", "checks": checks, "failed": failed}
+    return {"status": "ran", "checks": checks, "failed": failed}, failed
 
 
-def _verify_report(
-    n: int, oracle_names: Sequence[str], primes: Sequence[int], workers: int
-) -> dict:
-    from .published import published_chi
-
-    polys = {
-        "corrected": chi(n, Mode.CORRECTED),
-        "paper": chi(n, Mode.PAPER),
-    }
-    report: dict = {
-        "n": n,
-        "workers": workers,
-        "polynomials": {
-            "corrected": _str_coeffs(polys["corrected"]),
-            "paper": _str_coeffs(polys["paper"]),
-        },
-    }
-    reference = published_chi(n)
-    if reference is not None:
-        report["published"] = {
-            "coeffs": _str_coeffs(reference),
-            "corrected": _compare(polys["corrected"], reference, "DIVERGENT"),
-            "paper": _compare(polys["paper"], reference, "DIVERGENT"),
-        }
-    sections: dict = {}
-    corrected_failed = False
-    checked = False  # whether any oracle ran at least one check
-    for name in oracle_names:
-        if name == "whitney":
-            section = _verify_whitney(n, polys, reference)
-            failed = section["status"] == "ran" and section["corrected"]["result"] == "FAIL"
-        elif name == "ffield":
-            section = _verify_ffield(n, polys, primes)
-            failed = section.get("failed", False)
-        else:  # graphs; _cmd_verify has rejected every other name
-            section = _verify_graphs(n)
-            failed = section.get("failed", False)
-        checked = checked or section["status"] == "ran"
-        corrected_failed = corrected_failed or failed
-        sections[name] = section
-    report["oracles"] = sections
-    if corrected_failed:
-        report["result"] = "FAIL"
-    else:
-        report["result"] = "PASS" if checked else "SKIPPED"
-    return report
+_VERIFIERS = {"whitney": _verify_whitney, "ffield": _verify_ffield, "graphs": _verify_graphs}
 
 
-def _render_verify_text(report: dict) -> str:
+def _render_verify_text(
+    report: dict, polys: dict[str, IntPolynomial], reference: IntPolynomial | None
+) -> str:
     def compared(label: str, cmp: dict, noun: str) -> str:
         if not cmp["differences"]:
             return f"  {label}: PASS"
@@ -423,20 +337,16 @@ def _render_verify_text(report: dict) -> str:
         )
 
     lines = [f"verify n={report['n']} ({report['result']})"]
-    lines.append(f"  corrected: {IntPolynomial([int(c) for c in report['polynomials']['corrected']])}")
-    lines.append(f"  paper:     {IntPolynomial([int(c) for c in report['polynomials']['paper']])}")
-    pub = report.get("published")
-    if pub is not None:
-        lines.append(
-            f"  published: {IntPolynomial([int(c) for c in pub['coeffs']])}"
-        )
+    lines.append(f"  corrected: {polys['corrected']}")
+    lines.append(f"  paper:     {polys['paper']}")
+    if reference is not None:
+        lines.append(f"  published: {reference}")
         for mode in ("corrected", "paper"):
-            lines.append(compared(f"published vs {mode}", pub[mode], "published"))
+            lines.append(compared(f"published vs {mode}", report["published"][mode], "published"))
     for name, section in report["oracles"].items():
         if section["status"] == "skipped":
             lines.append(f"  {name}: skipped ({section['reason']})")
-            continue
-        if name == "whitney":
+        elif name == "whitney":
             for mode in ("corrected", "paper"):
                 lines.append(compared(f"whitney vs {mode}", section[mode], "oracle"))
             if "published_vs_oracle" in section:
@@ -449,21 +359,20 @@ def _render_verify_text(report: dict) -> str:
                     f"corrected={row['corrected']} paper={row['paper']}"
                 )
             interp = section.get("interpolation")
-            if interp is not None:
-                if "reason" in interp:
-                    lines.append(f"  ffield interpolation: FAIL ({interp['reason']})")
-                else:
-                    lines.append(
-                        f"  ffield interpolation: corrected={interp['result']} "
-                        f"paper={interp['paper']}"
-                    )
-        elif name == "graphs":
+            if interp is not None and "reason" in interp:
+                lines.append(f"  ffield interpolation: FAIL ({interp['reason']})")
+            elif interp is not None:
+                lines.append(
+                    f"  ffield interpolation: corrected={interp['result']} "
+                    f"paper={interp['paper']}"
+                )
+        else:
             for check in section["checks"]:
                 lines.append(f"  graphs {check['name']}: {check['result']}")
     return "\n".join(lines)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Outcome:
     n = args.n
     _check_range("--n", n, 1, args.max_n)
     if args.workers < 1:
@@ -472,31 +381,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not oracle_names:
         raise UsageError("--oracles must name at least one oracle")
     for name in oracle_names:
-        if name not in _ORACLE_NAMES:
-            raise UsageError(
-                f"unknown oracle {name!r}; choose from {', '.join(_ORACLE_NAMES)}"
-            )
-    repeated = sorted({name for name in oracle_names if oracle_names.count(name) > 1})
-    if repeated:
-        raise UsageError(
-            f"--oracles repeats {', '.join(repeated)}; list each oracle once"
-        )
-    from .oracle import (
-        MAX_VERIFICATION_PRIME,
-        default_verification_primes,
-        is_verification_prime,
-    )
+        if name not in _VERIFIERS:
+            raise UsageError(f"unknown oracle {name!r}; choose from {', '.join(_VERIFIERS)}")
+    _reject_repeats("--oracles", oracle_names, "oracle")
+    from .oracle import MAX_VERIFICATION_PRIME, default_verification_primes, is_verification_prime
 
     if args.primes:
         try:
             primes = tuple(int(s) for s in args.primes.split(","))
         except ValueError as exc:
             raise UsageError(f"--primes must be a comma-separated integer list: {exc}")
-        repeated = sorted({q for q in primes if primes.count(q) > 1})
-        if repeated:
-            raise UsageError(
-                f"--primes repeats {', '.join(map(str, repeated))}; list each prime once"
-            )
+        _reject_repeats("--primes", primes, "prime")
         invalid = [q for q in primes if not is_verification_prime(q)]
         if invalid:
             raise UsageError(
@@ -505,12 +400,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
     else:
         primes = default_verification_primes(n)
-    report = _verify_report(n, oracle_names, primes, args.workers)
-    if args.format == "json":
-        _emit_json(report)
-    else:
-        _emit(_render_verify_text(report))
-    return 0 if report["result"] == "PASS" else 1
+    from .published import published_chi
+
+    polys = {"corrected": chi(n, Mode.CORRECTED), "paper": chi(n, Mode.PAPER)}
+    reference = published_chi(n)
+    report: dict = {
+        "n": n,
+        "workers": args.workers,
+        "polynomials": {mode: _str_coeffs(poly) for mode, poly in polys.items()},
+    }
+    if reference is not None:
+        report["published"] = {"coeffs": _str_coeffs(reference)}
+        for mode, poly in polys.items():
+            report["published"][mode] = _compare(poly, reference, "DIVERGENT")
+    sections = report["oracles"] = {}
+    failed = checked = False  # checked: whether any oracle ran at least one check
+    for name in oracle_names:
+        sections[name], section_failed = _VERIFIERS[name](n, polys, reference, primes)
+        failed = failed or section_failed
+        checked = checked or sections[name]["status"] == "ran"
+    report["result"] = "FAIL" if failed else "PASS" if checked else "SKIPPED"
+    return int(report["result"] != "PASS"), report, {
+        "text": lambda: _render_verify_text(report, polys, reference)
+    }
 
 
 # -- parser ------------------------------------------------------------------
@@ -527,69 +439,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pairsum {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, formats=("text", "json", "latex")):
+    def command(name, func, size, summary, formats=("text", "json", "latex"), mode=True,
+                max_n=True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(size, type=int, required=True)
+        if mode:
+            p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.CORRECTED.value)
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument(
-            "--max-n",
-            type=int,
-            default=DEFAULT_MAX_N,
-            help=f"largest accepted n (default {DEFAULT_MAX_N})",
-        )
+        if max_n:
+            p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+                           help=f"largest accepted n (default {DEFAULT_MAX_N})")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("charpoly", help="characteristic polynomial for one n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.CORRECTED.value)
-    add_common(p)
-    p.set_defaults(func=_cmd_charpoly)
-
-    p = sub.add_parser("chambers", help="chamber counts via Zaslavsky's theorem")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.CORRECTED.value)
-    add_common(p)
-    p.set_defaults(func=_cmd_chambers)
-
-    p = sub.add_parser("table", help="polynomials and chambers for n=2..N, diffed against the published list")
-    p.add_argument("--to", type=int, required=True)
-    p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.CORRECTED.value)
-    add_common(p)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("bipartite", help="connected bipartite graph counts b(n,k)")
-    p.add_argument("--to", type=int, required=True)
-    p.add_argument("--format", choices=["text", "json", "latex"], default="text")
-    p.set_defaults(func=_cmd_bipartite)
-
-    p = sub.add_parser("verify", help="cross-check both modes against brute-force oracles")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--oracles",
-        default="whitney,ffield,graphs",
-        help="comma-separated subset of whitney,ffield,graphs",
-    )
-    p.add_argument(
-        "--primes",
-        default="",
-        help="override the finite-field primes (default: the first max(4, n+1) from 5; "
-        "23,29,31 at n=5)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="echoed in the report; every oracle is serial, so it changes no work",
-    )
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p.set_defaults(func=_cmd_verify)
-
+    command("charpoly", _cmd_charpoly, "--n", "characteristic polynomial for one n")
+    command("chambers", _cmd_chambers, "--n", "chamber counts via Zaslavsky's theorem")
+    command("table", _cmd_table, "--to",
+            "polynomials and chambers for n=2..N, diffed against the published list")
+    command("bipartite", _cmd_bipartite, "--to", "connected bipartite graph counts b(n,k)",
+            mode=False, max_n=False)
+    p = command("verify", _cmd_verify, "--n",
+                "cross-check both modes against brute-force oracles",
+                formats=("text", "json"), mode=False)
+    p.add_argument("--oracles", default="whitney,ffield,graphs",
+                   help="comma-separated subset of whitney,ffield,graphs")
+    p.add_argument("--primes", default="",
+                   help="override the finite-field primes (default: the first max(4, n+1) "
+                   "from 5; 23,29,31 at n=5)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="echoed in the report; every oracle is serial, so it changes no work")
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code, payload, renderers = args.func(args)
+        if args.format == "json":
+            import json
+
+            text = json.dumps(payload, separators=(",", ":"))
+        else:
+            text = renderers[args.format]()
+        sys.stdout.write(text + "\n")
         sys.stdout.flush()
         return code
     except UsageError as exc:

@@ -90,23 +90,6 @@ def _insert(state: State, row: Row, ncols: int) -> tuple[State, bool, bool]:
     return tuple(rebuilt), True, False
 
 
-def rank_and_centrality(rows: Iterable[Row]) -> tuple[int, bool]:
-    """Rank of the normal vectors of augmented rows (coefficients, then the
-    constant), and whether the walls they describe share a point.
-
-    The rank is that of the coefficient matrix alone; a set of walls is
-    central exactly when no row reduces to 0 = nonzero.
-    """
-    state: State = ()
-    rank = 0
-    central = True
-    for row in rows:
-        state, grew, bad = _insert(state, row, len(row) - 1)
-        rank += grew
-        central = central and not bad
-    return rank, central
-
-
 # -- forward passes ----------------------------------------------------------
 
 

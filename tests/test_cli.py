@@ -454,6 +454,33 @@ class TestParser:
         assert "between" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("chambers --n 4 --format latex",
+         "a7e35ba417f2145c83382e0e478399a55c0405cb58dbf67a7e345fee58995ca8"),
+        ("bipartite --to 5 --format latex",
+         "b72353fbb6a75a0ce36a1acead02a7d17330239401dd21a358cde1b8c570a0e5"),
+        ("table --to 9 --mode paper",
+         "2211c0cab4ecaf696ccccaee175388b404ab5b5040ae45c2db3df37c70820fde"),
+        ("table --to 6 --mode paper --format latex",
+         "ccb643844b22b8f935b0dc54d4e9d212754dc0dbf2b4f226a914605312cfe086"),
+        ("verify --n 5",
+         "ed1a3e2b82f2201bceb810e2b08a597d7e2abfd49ae3144513e9fc18825e9a35"),
+        ("verify --n 7 --max-n 7",
+         "1fe6760a312fd3bbf8108377556b1dac0781496e99afa52c113d2ea521234179"),
+    ],
+)
+def test_pinned_text_and_latex_output(capsys, argv, digest):
+    # sha256 of the complete stdout of the renderers no other test pins:
+    # latex chamber counts and bipartite arrays, the table's text (published
+    # differences and non-alternating published rows) and latex, and the
+    # verify text report, with skipped oracles and interpolation at n = 7
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # Runs in a fresh interpreter, so that no module loaded by another test counts.
 _START_UP_SCRIPT = """
 import contextlib, io, json, sys

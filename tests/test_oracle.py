@@ -27,7 +27,6 @@ from pairsum.oracle import (
     interpolate_counts,
     interpolated_chi,
     is_verification_prime,
-    rank_and_centrality,
     whitney_chi,
 )
 
@@ -67,6 +66,18 @@ def orbit_walk_count(n, q):
         return total
 
     return walk(2, n, 1, ())
+
+
+def rank_and_centrality(rows):
+    """Rank of the normals of augmented rows (coefficients, then the
+    constant), and whether the walls share a point: a fold over _insert, in
+    which a wall set is central exactly when no row reduces to 0 = nonzero."""
+    state, rank, central = (), 0, True
+    for row in rows:
+        state, grew, bad = _insert(state, row, len(row) - 1)
+        rank += grew
+        central = central and not bad
+    return rank, central
 
 
 def census_in_order(n, rows):

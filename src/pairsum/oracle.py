@@ -20,8 +20,8 @@ where a state is what decides the rest of the count (the flat a central
 subset cuts out; the components of a graph and a 2-colouring of each
 bipartite one).  Subsets that reach the same state are counted together,
 so the work grows with the number of states, not with the 2^(walls) or
-2^(edges) subsets they summarize.  Every oracle is serial, pure Python and
-deterministic.
+2^(edges) subsets they summarize.  Every oracle is serial, pure Python,
+deterministic and exact in plain integers.
 
 Centrality is decided by exact linear algebra: a wall set has a common
 point exactly when the rank of the stacked normal matrix equals the rank of
@@ -58,13 +58,14 @@ def _primitive(row: Sequence[int], pivot: int) -> Row:
     return tuple(row) if g == 1 else tuple([a // g for a in row])
 
 
-def _insert(state: State, row: Row, ncols: int) -> tuple[State, bool, bool]:
-    """Insert an augmented row (ncols coefficients, then the constant) into a
-    fully reduced state.  Returns (new state, rank grew, inconsistent).
+def _insert(state: State, row: Row) -> Optional[State]:
+    """Insert an augmented row (coefficients, then the constant) into a fully
+    reduced state.  Returns the new state; the same state when the row is
+    linearly dependent on it; or None when the walls share no point.
 
     The state is persistent and canonical: callers may keep using the old
     value, and equal flats give equal states, which the subset census relies
-    on to merge the subsets that reach the same flat.
+    on to merge the subsets that reach the same flat.  Its rank is its length.
     """
     r = list(row)
     for pivot, erow in state:
@@ -74,9 +75,9 @@ def _insert(state: State, row: Row, ncols: int) -> tuple[State, bool, bool]:
             r = [a * lead - b * c for a, b in zip(r, erow)]
     pivot = next((idx for idx, a in enumerate(r) if a), None)
     if pivot is None:
-        return state, False, False  # linearly dependent, still consistent
-    if pivot == ncols:
-        return state, False, True  # 0 = nonzero constant: no common point
+        return state  # linearly dependent, still consistent
+    if pivot == len(r) - 1:
+        return None  # 0 = nonzero constant: no common point
     reduced = _primitive(r, pivot)
     # keep the state fully reduced: clear the new pivot column everywhere
     lead = reduced[pivot]
@@ -87,7 +88,7 @@ def _insert(state: State, row: Row, ncols: int) -> tuple[State, bool, bool]:
             erow = _primitive([a * lead - b * c for a, b in zip(erow, reduced)], p)
         rebuilt.append((p, erow))
     rebuilt.sort()
-    return tuple(rebuilt), True, False
+    return tuple(rebuilt)
 
 
 # -- forward passes ----------------------------------------------------------
@@ -157,13 +158,8 @@ def central_census(n: int, *, limit: int = SUBSET_SCAN_LIMIT) -> CountTable:
     wall, however many subsets reach it.
     """
     _guard(n, limit, "central_census")
-
-    def join(state: State, row: Row) -> Optional[State]:
-        joined, _, bad = _insert(state, row, n)
-        return None if bad else joined
-
     totals: dict[tuple[int, int], int] = {}
-    for state, sizes in _forward_pass((), _arrangement_rows(n), join).items():
+    for state, sizes in _forward_pass((), _arrangement_rows(n), _insert).items():
         for size, count in sizes.items():
             key = (len(state), size)
             totals[key] = totals.get(key, 0) + count
@@ -254,16 +250,16 @@ def finite_field_count(n: int, q: int) -> int:
 def interpolate_counts(points: Sequence[tuple[int, int]], n: int) -> IntPolynomial:
     """Reconstruct a degree-n integer polynomial from (q, value) samples.
 
-    Newton interpolation over the rationals through all k points: divided
+    Newton interpolation in integers through all k points: divided
     differences, then a Horner expansion into monomial coefficients, each
-    O(k^2) exact Fraction operations.  With more than n+1 samples this
-    doubles as a consistency check: the result must come out with integer
-    coefficients and degree exactly n, or the samples do not lie on any such
-    polynomial and a ValueError explains which property failed.  A q may
-    repeat only with the same value.
+    O(k^2) integer operations.  At integer nodes every divided difference of
+    the samples is an integer exactly when they lie on a polynomial with
+    integer coefficients, so an inexact division ends the work at once.  With
+    more than n+1 samples this doubles as a consistency check: the result
+    must come out with integer coefficients and degree exactly n, or the
+    samples do not lie on any such polynomial and a ValueError explains which
+    property failed.  A q may repeat only with the same value.
     """
-    from fractions import Fraction  # only here: it loads decimal and numbers
-
     values: dict[int, int] = {}
     for q, value in points:
         if values.setdefault(q, value) != value:
@@ -275,19 +271,18 @@ def interpolate_counts(points: Sequence[tuple[int, int]], n: int) -> IntPolynomi
             f"got {len(xs)}"
         )
     # newton[i] becomes the divided difference f[x_0, ..., x_i]
-    newton = [Fraction(values[x]) for x in xs]
+    newton = [values[x] for x in xs]
     for step in range(1, len(xs)):
         for i in range(len(xs) - 1, step - 1, -1):
-            newton[i] = (newton[i] - newton[i - 1]) / (xs[i] - xs[i - step])
-    # Horner, from the top term down: total = newton[i] + (x - x_i) * total
-    total: list[Fraction] = []
+            newton[i], inexact = divmod(newton[i] - newton[i - 1], xs[i] - xs[i - step])
+            if inexact:
+                raise ValueError("samples do not interpolate to integer coefficients")
+    # Horner, from the top term down: coeffs = newton[i] + (x - x_i) * coeffs
+    coeffs: list[int] = []
     for i in range(len(xs) - 1, -1, -1):
-        total = [newton[i], *total]
-        for k in range(len(total) - 1):
-            total[k] -= xs[i] * total[k + 1]
-    if any(c.denominator != 1 for c in total):
-        raise ValueError("samples do not interpolate to integer coefficients")
-    coeffs = [int(c) for c in total]
+        coeffs = [newton[i], *coeffs]
+        for k in range(len(coeffs) - 1):
+            coeffs[k] -= xs[i] * coeffs[k + 1]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) - 1 != n:
@@ -302,7 +297,7 @@ def interpolated_chi(n: int, primes: Sequence[int]) -> IntPolynomial:
 
     Counts the complement points over at least n+1 prime fields and
     interpolates, which checks every coefficient at once at any n: on a
-    2-vCPU Xeon the first 201 primes from 5 rebuild chi_200 in about 0.15 s.
+    2-vCPU Xeon the first 201 primes from 5 rebuild chi_200 in about 0.055 s.
     """
     points = [(q, finite_field_count(n, q)) for q in sorted(set(primes))]
     return interpolate_counts(points, n)

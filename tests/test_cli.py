@@ -1,11 +1,15 @@
 """Command-line surface: rendering, schemas, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsum.cli import main
 
@@ -525,7 +529,7 @@ def test_commands_without_oracles_load_no_numpy_or_process_pool():
 _LAZY_IMPORT_SCRIPT = """
 import contextlib, io, json, sys
 from pairsum import cli
-unused = ("pairsum.oracle", "pairsum.series", "dataclasses", "fractions")
+unused = ("pairsum.oracle", "pairsum.series", "dataclasses", "fractions", "decimal", "numbers")
 for argv in (
     ["charpoly", "--n", "6"], ["chambers", "--n", "6"],
     ["table", "--to", "12"], ["bipartite", "--to", "12"],
@@ -534,7 +538,8 @@ for argv in (
         assert cli.main(argv) == 0, argv
 loaded = [name for name in unused if name in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
-    verify_code = cli.main(["verify", "--n", "5"])
+    # n = 5 counts at three primes; n = 6 at seven, which interpolate
+    verify_codes = [cli.main(["verify", "--n", "5"]), cli.main(["verify", "--n", "6"])]
 loaded_after_verify = [name for name in unused if name in sys.modules]
 import pairsum
 from pairsum import oracle
@@ -545,7 +550,7 @@ except AttributeError as exc:
     missing = str(exc)
 print(json.dumps({
     "loaded": loaded,
-    "verify_code": verify_code,
+    "verify_codes": verify_codes,
     "loaded_after_verify": loaded_after_verify,
     "unresolved": [name for name in pairsum.__all__ if getattr(pairsum, name, None) is None],
     "undisplayed": sorted(set(pairsum.__all__) - set(dir(pairsum))),
@@ -565,14 +570,94 @@ def test_commands_import_only_the_modules_they_run():
     # charpoly, chambers, table and bipartite past the census limit need no
     # oracle, no Fraction series and no dataclass
     assert report["loaded"] == []
-    assert report["verify_code"] == 0
+    assert report["verify_codes"] == [0, 0]
     # verify loads the oracles but still neither the series layer nor
-    # dataclasses
-    assert "pairsum.oracle" in report["loaded_after_verify"]
-    assert "pairsum.series" not in report["loaded_after_verify"]
-    assert "dataclasses" not in report["loaded_after_verify"]
+    # dataclasses, and its interpolation works in integers: no fractions,
+    # and so no decimal or numbers either
+    assert report["loaded_after_verify"] == ["pairsum.oracle"]
     # the lazily resolved package keeps its whole public surface
     assert report["unresolved"] == []
     assert report["undisplayed"] == []
     assert report["oracle_is_submodule"] is True
     assert "no_such_name" in report["missing"]
+
+
+# -- contract fuzz -----------------------------------------------------------
+#
+# argv built from the CLI's grammar: every subcommand, each flag missing,
+# given once or repeated, in any order, with values the command must judge
+# (sizes from -3 to 6; --primes lists with blanks, composites, repeats and
+# values of 2^31 or more).  Two argv in three then get one fault the parser
+# must catch: a malformed value, a flag with no value or one the command
+# does not take, or an unknown command.
+
+_SIZE = st.one_of(st.integers(1, 6), st.integers(-3, 6)).map(str)  # mostly in range
+_PRIMES = ["5", "7", "11", "13", "17", "23"]
+_PRIME_ITEMS = _PRIMES + ["4", "9", "1", "-7", "", " ",
+                          str(2**31 - 1), str(2**31), str(2**61 - 1)]
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["charpoly", "chambers", "table", "bipartite", "verify"]))
+    flags = {
+        "--to" if command in ("table", "bipartite") else "--n": _SIZE,
+        "--format": st.sampled_from(["text", "json"] + ["latex"] * (command != "verify")),
+    }
+    if command != "bipartite":
+        flags["--max-n"] = _SIZE
+    if command in ("charpoly", "chambers", "table"):
+        flags["--mode"] = st.sampled_from(["corrected", "paper"])
+    if command == "verify":
+        flags["--oracles"] = st.one_of(
+            st.lists(st.sampled_from(["whitney", "ffield", "graphs"]), min_size=1, unique=True),
+            st.lists(st.sampled_from(["whitney", "graphs", "", " ", "bogus"]), max_size=4),
+        ).map(",".join)
+        flags["--primes"] = st.one_of(
+            st.lists(st.sampled_from(_PRIMES), min_size=1, unique=True),
+            st.lists(st.sampled_from(_PRIME_ITEMS), max_size=8),
+        ).map(",".join)
+        flags["--workers"] = st.integers(-1, 2).map(str)
+    parts = []
+    for i, (flag, values) in enumerate(flags.items()):
+        # the size flag is required; the others mostly keep their defaults
+        times = [1, 1, 1, 1, 2, 0] if i == 0 else [0, 0, 1, 2]
+        parts += [[flag, draw(values)] for _ in range(draw(st.sampled_from(times)))]
+    argv = [command, *(token for part in draw(st.permutations(parts)) for token in part)]
+    fault = draw(st.sampled_from([None, None, "value", "dangling", "foreign", "command"]))
+    if fault == "value" and len(argv) > 1:
+        at = draw(st.integers(0, (len(argv) - 1) // 2 - 1)) * 2 + 2
+        argv[at] = draw(st.sampled_from(["", "x", "1.5", "0x3", "--", "xml", "bogus"]))
+    elif fault == "dangling":
+        argv.append(draw(st.sampled_from(list(flags))))
+    elif fault == "foreign":
+        argv += draw(st.sampled_from([["--mode", "paper"], ["--oracles", "ffield"], ["--bogus"]]))
+    elif fault == "command":
+        argv[0] = "frobnicate"
+    return argv
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse reports its own usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_cli_argv())
+def test_cli_contract_on_generated_argv(argv):
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert out == "", argv
+        assert err.startswith("pairsum: error:") or "usage:" in err, (argv, err)
+    else:
+        formats = [argv[i + 1] for i, a in enumerate(argv[:-1]) if a == "--format"]
+        if formats and formats[-1] == "json":
+            json.loads(out)
+    assert _run_in_process(argv) == (code, out, err), argv

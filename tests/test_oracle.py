@@ -72,23 +72,18 @@ def rank_and_centrality(rows):
     """Rank of the normals of augmented rows (coefficients, then the
     constant), and whether the walls share a point: a fold over _insert, in
     which a wall set is central exactly when no row reduces to 0 = nonzero."""
-    state, rank, central = (), 0, True
+    state, central = (), True
     for row in rows:
-        state, grew, bad = _insert(state, row, len(row) - 1)
-        rank += grew
-        central = central and not bad
-    return rank, central
+        joined = _insert(state, row)
+        central = central and joined is not None
+        state = state if joined is None else joined
+    return len(state), central
 
 
-def census_in_order(n, rows):
+def census_in_order(rows):
     """The central census of a forward pass over rows in the given order."""
-
-    def join(state, row):
-        joined, _, bad = _insert(state, row, n)
-        return None if bad else joined
-
     totals = {}
-    for state, sizes in _forward_pass((), rows, join).items():
+    for state, sizes in _forward_pass((), rows, _insert).items():
         for size, count in sizes.items():
             totals[(len(state), size)] = totals.get((len(state), size), 0) + count
     return totals
@@ -222,9 +217,12 @@ class TestInsert:
             expected = rational_echelon([*kept, row], ncols)
             inconsistent = any(col == ncols for col, _ in expected)
             rank_grew = not inconsistent and len(expected) > len(state)
-            state, grew, bad = _insert(state, row, ncols)
+            joined = _insert(state, row)
+            bad = joined is None
+            grew = not bad and len(joined) > len(state)
             assert (grew, bad) == (rank_grew, inconsistent), (kept, row)
             if not bad:
+                state = joined
                 kept.append(row)
             # an inconsistent row leaves the state as it was
             assert state == tuple(rational_echelon(kept, ncols)), (kept, row)
@@ -379,10 +377,10 @@ class TestFiniteFieldCount:
 
 class TestInterpolation:
     def test_importing_the_oracles_loads_no_fractions(self):
-        # Fraction is imported inside interpolate_counts, the only user
+        # the oracles, interpolation included, work in plain integers
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, pairsum.oracle; "
-             "print([m for m in ('fractions', 'decimal') if m in sys.modules])"],
+             "print([m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules])"],
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
@@ -397,6 +395,13 @@ class TestInterpolation:
         poly = IntPolynomial([6, -5, 1])
         points = [(q, poly(q)) for q in (5, 7, 11)] + [(13, poly(13) + 1)]
         with pytest.raises(ValueError):
+            interpolate_counts(points, 2)
+
+    @pytest.mark.parametrize("primes", [(5, 7, 11), (5, 7, 11, 13)])
+    def test_integer_valued_but_not_integer_polynomial(self, primes):
+        # q(q-1)/2 is an integer at every q, but its coefficients are halves
+        points = [(q, q * (q - 1) // 2) for q in primes]
+        with pytest.raises(ValueError, match="integer coefficients"):
             interpolate_counts(points, 2)
 
     @pytest.mark.parametrize("bad_last", [False, True])
@@ -570,7 +575,7 @@ class TestCentralCensus:
     def test_wall_order_does_not_change_the_census(self, n, rng):
         rows = _arrangement_rows(n)
         rng.shuffle(rows)
-        assert census_in_order(n, rows) == dict(central_census(n).items())
+        assert census_in_order(rows) == dict(central_census(n).items())
 
     def test_rank_six_past_the_guard(self):
         from pairsum.central import Mode, whitney_numbers

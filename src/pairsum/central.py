@@ -69,16 +69,8 @@ class Mode(str, enum.Enum):
     CORRECTED = "corrected"
 
 
-def cardinality_cap(n: int) -> int:
-    """Largest cardinality of a graph on n vertices: every edge plus one
-    color wall per vertex."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return comb(n, 2) + n
-
-
 def _factors(
-    cb: Labeled, conn: Labeled, g2: Labeled, g3c: Labeled, mode: Mode, cap: int
+    cb: Labeled, conn: Labeled, g2: Labeled, g3c: Labeled, mode: Mode
 ) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
     """The factors G0, G1, G2, G3 built from base tables on vertex counts 0..n.
 
@@ -94,27 +86,26 @@ def _factors(
     marked = [{(c, 1): count for (c, _), count in entry.items()} for entry in bipartite]
     # Mode(mode) accepts the member or its value and raises ValueError otherwise
     if Mode(mode) is Mode.PAPER:
-        g1 = labeled.difference(
-            labeled.exp(without_single_vertex(conn), cap), labeled.exp(bipartite, cap)
-        )
+        g1 = labeled.difference(labeled.exp(without_single_vertex(conn)), labeled.exp(bipartite))
         g1[0] = dict(labeled.ONE)
     else:
-        g1 = labeled.exp(labeled.difference(conn, cb), cap)
-    return labeled.exp(marked, cap), g1, g2, labeled.exp(g3c, cap)
+        g1 = labeled.exp(labeled.difference(conn, cb))
+    return labeled.exp(marked), g1, g2, labeled.exp(g3c)
 
 
-def _product(factors: Tuple[Labeled, Labeled, Labeled, Labeled], cap: int) -> Labeled:
+def _product(factors: Tuple[Labeled, Labeled, Labeled, Labeled]) -> Labeled:
     g0, g1, g2, g3 = factors
     # the z-free factors first: G0, the one factor with z, enters one product
-    flat = labeled.product(labeled.product(g1, g2, cap), g3, cap)
-    return labeled.product(flat, g0, cap)
+    flat = labeled.product(labeled.product(g1, g2), g3)
+    return labeled.product(flat, g0)
 
 
 def _full_tables(n: int) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
     """The base tables of Gamma, resolved by cardinality."""
-    cap = cardinality_cap(n)
-    cb = connected_bipartite_table(n, cap)
-    return cb, connected_table(n, cap), gamma2(n), gamma3_connected(cb)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    cb = connected_bipartite_table(n)
+    return cb, connected_table(n), gamma2(n), gamma3_connected(cb)
 
 
 def _signed_tables(n: int) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
@@ -128,8 +119,8 @@ def _signed_tables(n: int) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    cb = half_log([{(0, 0): 1 if m == 0 else 2} for m in range(n + 1)], 0)
-    conn = labeled.log([{(0, 0): 1} if m <= 1 else {} for m in range(n + 1)], 0)
+    cb = half_log([{(0, 0): 1 if m == 0 else 2} for m in range(n + 1)])
+    conn = labeled.log([{(0, 0): 1} if m <= 1 else {} for m in range(n + 1)])
     g2 = [{(0, 0): (-2) ** m} for m in range(n + 1)]
     g3c = [
         {key: -2 * s for key, s in entry.items()} if m >= 2 else {}
@@ -145,8 +136,7 @@ def gamma2(n: int) -> Labeled:
 
 def gamma3_connected(bip: Labeled) -> Labeled:
     """Connected type-3 graphs by order m and cardinality, from bip, the
-    connected bipartite graphs of connected_bipartite_table(n, cap) with
-    no size cut off (cap >= n^2/4).
+    connected bipartite graphs of connected_bipartite_table(n).
 
     A connected type-3 graph is a connected bipartite graph on m >= 2
     vertices carrying t >= 1 colored vertices, colored consistently with the
@@ -177,8 +167,7 @@ def gamma3_connected(bip: Labeled) -> Labeled:
 def gamma_product(n: int, mode: Mode = Mode.CORRECTED) -> dict[Tuple[int, int, int], int]:
     """The full central-graph series Gamma = G0*G1*G2*G3 on at most n vertices,
     flattened to {(vertices m, cardinality c, type-0 components v): count}."""
-    cap = cardinality_cap(n)
-    series = _product(_factors(*_full_tables(n), mode, cap), cap)
+    series = _product(_factors(*_full_tables(n), mode))
     return {
         (m, c, v): count
         for m, entry in enumerate(series)
@@ -195,7 +184,7 @@ def signed_gamma_product(
     The same factors and products as :func:`gamma_product`, run on the base
     tables at y = -1, so no entry carries a cardinality.
     """
-    series = _product(_factors(*_signed_tables(n), mode, 0), 0)
+    series = _product(_factors(*_signed_tables(n), mode))
     return {(m, v): s for m, entry in enumerate(series) for (_, v), s in entry.items()}
 
 

@@ -4,9 +4,11 @@ Every series here is an exponential generating function in x (order) and y
 (size): the coefficient of x^n y^k multiplied by n! is a count of labeled
 graphs on n vertices with k edges.  The counts are computed as integer
 labeled-count tables (:mod:`pairsum.labeled`, entry m holding
-``{(k, 0): count}``); the ``*_series`` functions convert a table to a
-:class:`TruncatedSeries` for callers that want the EGF itself, and
-:func:`counts_from_egf` converts back through a mandatory divisibility check.
+``{(k, 0): count}`` for every size k a graph on m vertices can have).  The
+``*_series`` functions convert a table to a :class:`TruncatedSeries` at the
+given caps for callers that want the EGF itself, dropping the sizes above
+``caps.dy``, and :func:`counts_from_egf` converts back through a mandatory
+divisibility check.
 Only those EGF views and :func:`default_caps` import :mod:`pairsum.series`
 and :mod:`fractions`, so the integer tables load neither.
 """
@@ -97,8 +99,8 @@ def _require_no_z(caps: TruncationCaps) -> None:
 # -- integer labeled-count tables ---------------------------------------------
 
 
-def bicolored_table(n: int, cap: int) -> Labeled:
-    """Vertex-2-colored bipartite graphs by order m <= n and size k <= cap.
+def bicolored_table(n: int) -> Labeled:
+    """Vertex-2-colored bipartite graphs by order m <= n and every size.
 
     Entry m maps (k, 0) to sum over i of C(m,i)*C(i*(m-i),k): choose the i
     white vertices, then k edges across the color classes.  Each connected
@@ -108,7 +110,7 @@ def bicolored_table(n: int, cap: int) -> Labeled:
     table: Labeled = []
     for m in range(n + 1):
         entry = {}
-        for k in range(min(cap, (m // 2) * ((m + 1) // 2)) + 1):
+        for k in range((m // 2) * ((m + 1) // 2) + 1):
             total = sum(comb(m, i) * comb(i * (m - i), k) for i in range(m + 1))
             if total:
                 entry[(k, 0)] = total
@@ -116,12 +118,9 @@ def bicolored_table(n: int, cap: int) -> Labeled:
     return table
 
 
-def all_graphs_table(n: int, cap: int) -> Labeled:
+def all_graphs_table(n: int) -> Labeled:
     """All labeled graphs: entry m maps (k, 0) to C(C(m,2), k)."""
-    return [
-        {(k, 0): comb(comb(m, 2), k) for k in range(min(cap, comb(m, 2)) + 1)}
-        for m in range(n + 1)
-    ]
+    return [{(k, 0): comb(comb(m, 2), k) for k in range(comb(m, 2) + 1)} for m in range(n + 1)]
 
 
 def without_single_vertex(table: Labeled) -> Labeled:
@@ -129,19 +128,19 @@ def without_single_vertex(table: Labeled) -> Labeled:
     return labeled.difference(table, [{}, {(0, 0): 1}] + [{}] * (len(table) - 2))
 
 
-def connected_table(n: int, cap: int) -> Labeled:
+def connected_table(n: int) -> Labeled:
     """Connected labeled graphs: the log of the all-graphs table."""
-    return labeled.log(all_graphs_table(n, cap), cap)
+    return labeled.log(all_graphs_table(n))
 
 
-def half_log(bicolored: Labeled, cap: int) -> Labeled:
+def half_log(bicolored: Labeled) -> Labeled:
     """Connected bipartite graphs from a bicolored table: half its log.
 
     An odd entry in that log means the bicolored table is wrong, so it raises
     ConsistencyError instead of rounding.
     """
     halved: Labeled = []
-    for m, entry in enumerate(labeled.log(bicolored, cap)):
+    for m, entry in enumerate(labeled.log(bicolored)):
         for (k, _), value in entry.items():
             if value % 2:
                 raise ConsistencyError(
@@ -151,31 +150,31 @@ def half_log(bicolored: Labeled, cap: int) -> Labeled:
     return halved
 
 
-def connected_bipartite_table(n: int, cap: int) -> Labeled:
+def connected_bipartite_table(n: int) -> Labeled:
     """Connected labeled bipartite graphs: half the log of the bicolored table."""
-    return half_log(bicolored_table(n, cap), cap)
+    return half_log(bicolored_table(n))
 
 
-def no_isolated_table(n: int, cap: int) -> Labeled:
+def no_isolated_table(n: int) -> Labeled:
     """Graphs without isolated vertices: exp(log(all graphs) - x).
 
     Dropping the x term removes the one-vertex connected graph, so the
     exponential rebuilds exactly the graphs all of whose components have
     order at least two.
     """
-    return labeled.exp(without_single_vertex(connected_table(n, cap)), cap)
+    return labeled.exp(without_single_vertex(connected_table(n)))
 
 
-def bipartite_no_isolated_table(n: int, cap: int) -> Labeled:
+def bipartite_no_isolated_table(n: int) -> Labeled:
     """Bipartite graphs (all components bipartite) without isolated vertices:
     exp(connected bipartite minus the single-vertex term)."""
-    return labeled.exp(without_single_vertex(connected_bipartite_table(n, cap)), cap)
+    return labeled.exp(without_single_vertex(connected_bipartite_table(n)))
 
 
 # -- series and count-table views at the given caps ---------------------------
 
 
-def _egf(caps: TruncationCaps, build: Callable[[int, int], Labeled]) -> TruncatedSeries:
+def _egf(caps: TruncationCaps, build: Callable[[int], Labeled]) -> TruncatedSeries:
     from fractions import Fraction
 
     from .series import TruncatedSeries
@@ -185,8 +184,9 @@ def _egf(caps: TruncationCaps, build: Callable[[int, int], Labeled]) -> Truncate
         caps,
         {
             (m, k, 0): Fraction(count, factorial(m))
-            for m, entry in enumerate(build(caps.dx, caps.dy))
+            for m, entry in enumerate(build(caps.dx))
             for (k, _), count in entry.items()
+            if k <= caps.dy
         },
     )
 
@@ -242,4 +242,5 @@ def counts_from_egf(series: TruncatedSeries) -> CountTable:
 def connected_graph_counts(caps: TruncationCaps) -> CountTable:
     """Number of connected labeled graphs, keyed (order, size)."""
     _require_no_z(caps)
-    return count_table(connected_table(caps.dx, caps.dy))
+    table = count_table(connected_table(caps.dx))
+    return CountTable({key: count for key, count in table.items() if key[1] <= caps.dy})

@@ -14,7 +14,6 @@ from pairsum import graphcounts
 from pairsum import central
 from pairsum.central import (
     Mode,
-    cardinality_cap,
     gamma2,
     gamma3_connected,
     gamma_product,
@@ -27,13 +26,13 @@ from pairsum.oracle import central_census
 
 def factor(i, n, mode=Mode.CORRECTED):
     """Factor Gi of Gamma on at most n vertices, resolved by cardinality."""
-    return central._factors(*central._full_tables(n), mode, cardinality_cap(n))[i]
+    return central._factors(*central._full_tables(n), mode)[i]
 
 
 def type3_connected(n):
-    """Connected type-3 graphs on at most n vertices, from the untruncated
-    connected bipartite table."""
-    return gamma3_connected(graphcounts.connected_bipartite_table(n, cardinality_cap(n)))
+    """Connected type-3 graphs on at most n vertices, from the connected
+    bipartite table."""
+    return gamma3_connected(graphcounts.connected_bipartite_table(n))
 
 
 def by_rank(gamma):
@@ -300,8 +299,8 @@ class TestSignedProduct:
     def test_factors_are_the_full_factors_at_minus_one(self):
         for mode in Mode:
             for n in range(1, 11):
-                full = central._factors(*central._full_tables(n), mode, cardinality_cap(n))
-                signed = central._factors(*central._signed_tables(n), mode, 0)
+                full = central._factors(*central._full_tables(n), mode)
+                signed = central._factors(*central._signed_tables(n), mode)
                 assert [at_minus_one(f) for f in full] == list(signed), (mode, n)
 
     def test_product_is_the_full_product_at_minus_one(self):
@@ -335,8 +334,8 @@ class TestExtractCounts:
         # graphs; an odd entry there must fail, not be rounded
         true_table = graphcounts.bicolored_table
 
-        def odd_table(n, cap):
-            table = true_table(n, cap)
+        def odd_table(n):
+            table = true_table(n)
             table[2][(1, 0)] += 1
             return table
 

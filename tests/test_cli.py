@@ -274,7 +274,7 @@ class TestVerify:
         assert f"--oracles repeats {repeated}; list each oracle once" in err
 
     @pytest.mark.parametrize(
-        "primes", ["4,6,8", "5,9", "3", "1,7", "-5", "5,2147483659"]
+        "primes", ["4,6,8", "5,9", "3", "1,7", "-5", "5,2147483659", "", " "]
     )
     def test_prime_below_five_or_composite_is_usage_error(self, capsys, no_work, primes):
         code, out, err = run(
@@ -282,7 +282,10 @@ class TestVerify:
         )
         assert code == 2
         assert out == ""
-        assert "--primes must list primes at least 5 and at most 2147483647" in err
+        if primes.strip():
+            assert "--primes must list primes at least 5 and at most 2147483647" in err
+        else:  # a blank list overrides the defaults with nothing
+            assert "--primes must be a comma-separated integer list" in err
 
     def test_huge_prime_is_refused_at_once(self):
         # 2^61 - 1 is prime; trial division up to its square root would not
@@ -396,7 +399,7 @@ class TestFailureExitCodes:
         monkeypatch.setattr(
             graphcounts_module,
             "connected_bipartite_table",
-            lambda n, cap: [{}, {}, {(1, 0): 7}],
+            lambda n: [{}, {}, {(1, 0): 7}],
         )
         code, out, _ = run(capsys, "bipartite", "--to", "2")
         assert code == 1

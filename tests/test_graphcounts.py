@@ -5,13 +5,17 @@ from math import comb
 
 import pytest
 
+from pairsum import central
 from pairsum.graphcounts import (
     ConsistencyError,
     CountTable,
     bicolored_series,
+    bicolored_table,
     bipartite_no_isolated_series,
+    connected_bipartite_series,
     connected_bipartite_table,
     connected_graph_counts,
+    connected_table,
     count_table,
     counts_from_egf,
     default_caps,
@@ -57,7 +61,7 @@ class TestBicoloredSeries:
 
 class TestConnectedBipartiteCounts:
     def test_known_small_values(self):
-        b = count_table(connected_bipartite_table(6, default_caps(6).dy))
+        b = count_table(connected_bipartite_table(6))
         assert b[(1, 0)] == 1  # single vertex
         assert b[(2, 1)] == 1  # single edge
         assert b[(3, 2)] == 3  # labeled paths on 3 vertices
@@ -67,18 +71,57 @@ class TestConnectedBipartiteCounts:
     def test_zero_pattern(self):
         # no connected bipartite graph has k < n-1 edges (n >= 2) or more
         # than floor(n/2)*ceil(n/2) edges
-        b = count_table(connected_bipartite_table(6, default_caps(6).dy))
+        b = count_table(connected_bipartite_table(6))
         for n in range(2, 7):
             for k in range(0, comb(6, 2) + 7):
                 if k < n - 1 or k > (n // 2) * ((n + 1) // 2):
                     assert b[(n, k)] == 0, (n, k)
 
     def test_matches_census_through_order_six(self):
-        b = count_table(connected_bipartite_table(6, default_caps(6).dy))
+        b = count_table(connected_bipartite_table(6))
         for n in range(1, 7):
             brute = enumerate_graphs(n).connected_bipartite_by_size()
             for k in range(0, comb(n, 2) + 1):
                 assert b[(n, k)] == brute.get(k, 0), (n, k)
+
+    def test_egf_view_matches_table(self):
+        series = connected_bipartite_series(default_caps(6))
+        assert counts_from_egf(series) == count_table(connected_bipartite_table(6))
+
+
+class TestSizeBounds:
+    """No table needs a size cap: a graph on m vertices has at most m^2/4
+    edges if bipartite, C(m,2) edges in all and C(m,2)+m walls if central,
+    and the labeled product only adds sizes, which these bounds allow."""
+
+    N = 12
+
+    @staticmethod
+    def top(entry):
+        return max(key[0] for key in entry)
+
+    def test_bipartite_tables(self):
+        for table in (bicolored_table(self.N), connected_bipartite_table(self.N)):
+            for m, entry in enumerate(table[1:], start=1):
+                assert self.top(entry) <= m * m // 4, m
+
+    def test_connected_table(self):
+        for m, entry in enumerate(connected_table(self.N)[1:], start=1):
+            assert self.top(entry) <= comb(m, 2), m
+
+    def test_central_product(self):
+        for (m, c, _), count in central.gamma_product(8).items():
+            assert c <= comb(m, 2) + m, (m, c, count)
+
+    def test_top_terms_are_complete_graphs(self):
+        # one complete graph K_m; C(m, m//2) complete bipartite graphs
+        # K_{m//2, m - m//2}, each counted twice when the sides are equal
+        conn = connected_table(self.N)
+        bip = connected_bipartite_table(self.N)
+        for m in range(1, self.N + 1):
+            assert conn[m][(comb(m, 2), 0)] == 1, m
+            halves = comb(m, m // 2) // (2 if m % 2 == 0 else 1)
+            assert bip[m][(m * m // 4, 0)] == halves, m
 
 
 class TestGraphsNoIsolated:
@@ -121,6 +164,12 @@ class TestConnectedGraphCounts:
             brute = enumerate_graphs(n).connected_by_size()
             for k in range(0, comb(n, 2) + 1):
                 assert c[(n, k)] == brute.get(k, 0), (n, k)
+
+    def test_caps_cut_sizes(self):
+        full = count_table(connected_table(5))
+        kept = CountTable({key: count for key, count in full.items() if key[1] <= 3})
+        assert connected_graph_counts(TruncationCaps(5, 3, 0)) == kept
+        assert len(kept) < len(full)
 
 
 class TestBipartiteNoIsolated:

@@ -536,10 +536,7 @@ class TestEnumerateGraphs:
         census = enumerate_graphs(7, limit=7)
         assert census.total() == 2**21
         views = (
-            (
-                count_table(connected_bipartite_table(7, caps.dy)),
-                census.connected_bipartite_by_size(),
-            ),
+            (count_table(connected_bipartite_table(7)), census.connected_bipartite_by_size()),
             (connected_graph_counts(caps), census.connected_by_size()),
             (counts_from_egf(graphs_no_isolated_series(caps)), census.no_isolated_by_size()),
             (

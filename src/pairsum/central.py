@@ -26,8 +26,9 @@ has rank m - v; :func:`whitney_numbers` re-indexes by that rank.
 The characteristic polynomial reads Gamma only through
 sum_c (-1)^c count(m, c, v), that is at y = -1.  Setting y = -1 is a ring
 homomorphism, so it commutes with the labeled product, exp and log:
-:func:`signed_gamma_product` runs the same four factors on base tables
-specialised at y = -1, whose entries are keyed (0, v).  It drops the
+:func:`signed_gamma_product` builds the same four factors with the table
+builders of :mod:`pairsum.graphcounts` run ``signed``, reading (1 + y)^e
+as 0^e and y^t as (-1)^t, so every entry is keyed (0, v).  It drops the
 cardinality dimension, which is what made the full product grow as n^6,
 and is the path every command of the CLI takes.  :func:`gamma_product`
 keeps the full trivariate Gamma of the paper, from which
@@ -55,10 +56,11 @@ from .graphcounts import (
     CountTable,
     connected_bipartite_table,
     connected_table,
-    half_log,
+    one_plus_y_power,
     without_single_vertex,
+    y_power,
 )
-from .labeled import Labeled
+from .labeled import Labeled, Poly
 
 
 class Mode(str, enum.Enum):
@@ -70,26 +72,40 @@ class Mode(str, enum.Enum):
 
 
 def _factors(
-    cb: Labeled, conn: Labeled, g2: Labeled, g3c: Labeled, mode: Mode
+    n: int, mode: Mode, signed: bool
 ) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
-    """The factors G0, G1, G2, G3 built from base tables on vertex counts 0..n.
+    """The factors G0, G1, G2, G3 on vertex counts 0..n, resolved by
+    cardinality, or at y = -1 when signed.
 
-    cb counts connected bipartite graphs, conn connected graphs, g2 isolated
-    colored vertices and g3c connected type-3 graphs, either resolved by
-    cardinality or at y = -1, which commutes with product, exp and log.
-
-    G0 is exp[z * (cb minus x)]: an uncolored isolated vertex is no wall, so
-    it is left out and planted later.  G1 is exp(conn minus cb) if corrected,
-    exp(conn minus x) - exp(cb minus x) + 1 if paper.  G2 is g2, G3 exp(g3c).
+    cb counts connected bipartite graphs and conn connected graphs.  G0 is
+    exp[z * (cb minus x)]: an uncolored isolated vertex is no wall, so it is
+    left out and planted later.  G1 is exp(conn minus cb) if corrected,
+    exp(conn minus x) - exp(cb minus x) + 1 if paper.  G2 has entry 2^m y^m:
+    the colorings of m isolated colored vertices.  G3 is the exp of the
+    connected type-3 graphs, connected bipartite graphs on m >= 2 vertices
+    with a nonempty set of colored vertices, colored in one of the two ways
+    the bipartition allows: entry m is 2 (cb - x)_m ((1 + y)^m - 1).
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    # Mode(mode) accepts the member or its value and raises ValueError otherwise
+    paper = Mode(mode) is Mode.PAPER
+    cb = connected_bipartite_table(n, signed=signed)
+    conn = connected_table(n, signed=signed)
     bipartite = without_single_vertex(cb)
     marked = [{(c, 1): count for (c, _), count in entry.items()} for entry in bipartite]
-    # Mode(mode) accepts the member or its value and raises ValueError otherwise
-    if Mode(mode) is Mode.PAPER:
+    if paper:
         g1 = labeled.difference(labeled.exp(without_single_vertex(conn)), labeled.exp(bipartite))
         g1[0] = dict(labeled.ONE)
     else:
         g1 = labeled.exp(labeled.difference(conn, cb))
+    g2 = [{key: 2**m * s for key, s in y_power(m, signed=signed).items()} for m in range(n + 1)]
+    g3c: Labeled = []
+    for m, entry in enumerate(bipartite):
+        colorings = labeled.difference([one_plus_y_power(m, signed=signed)], [labeled.ONE])[0]
+        acc: Poly = {}
+        labeled._add_product(acc, entry, colorings, 2)
+        g3c.append(acc)
     return labeled.exp(marked), g1, g2, labeled.exp(g3c)
 
 
@@ -100,74 +116,10 @@ def _product(factors: Tuple[Labeled, Labeled, Labeled, Labeled]) -> Labeled:
     return labeled.product(flat, g0)
 
 
-def _full_tables(n: int) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
-    """The base tables of Gamma, resolved by cardinality."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    cb = connected_bipartite_table(n)
-    return cb, connected_table(n), gamma2(n), gamma3_connected(cb)
-
-
-def _signed_tables(n: int) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
-    """The base tables at y = -1, every entry keyed (0, v).
-
-    Bicolored graphs sum to 1 at m = 0 and 2 after: by the binomial theorem
-    only the two colorings with an empty side leave a signed edge sum.  All
-    graphs sum to [m <= 1].  Isolated colored vertices give (-2)^m.  A
-    connected type-3 graph is a connected bipartite graph with t >= 1
-    colored vertices, so it sums to 2 cb(m) ((1 - 1)^m - 1) = -2 cb(m).
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    cb = half_log([{(0, 0): 1 if m == 0 else 2} for m in range(n + 1)])
-    conn = labeled.log([{(0, 0): 1} if m <= 1 else {} for m in range(n + 1)])
-    g2 = [{(0, 0): (-2) ** m} for m in range(n + 1)]
-    g3c = [
-        {key: -2 * s for key, s in entry.items()} if m >= 2 else {}
-        for m, entry in enumerate(cb)
-    ]
-    return cb, conn, g2, g3c
-
-
-def gamma2(n: int) -> Labeled:
-    """Type-2 factor: 2^m colorings of m isolated colored vertices."""
-    return [{(m, 0): 2**m} for m in range(n + 1)]
-
-
-def gamma3_connected(bip: Labeled) -> Labeled:
-    """Connected type-3 graphs by order m and cardinality, from bip, the
-    connected bipartite graphs of connected_bipartite_table(n).
-
-    A connected type-3 graph is a connected bipartite graph on m >= 2
-    vertices carrying t >= 1 colored vertices, colored consistently with the
-    bipartition; there are exactly two consistent colorings of any chosen
-    vertex set.  With c = edges + t this gives
-
-        count at (m, c)  =  sum_t 2 * b(m, c-t) * C(m, t)
-
-    where b counts connected bipartite graphs by (order, size) and t runs
-    over 1..min(m, c-m+1).  Single colored vertices (m = 1) belong to the
-    type-2 factor, so m starts at 2.  A bipartite graph on m vertices has at
-    most m^2/4 edges, so c stops at m^2/4 + m.
-    """
-    table: Labeled = [{}, {}]
-    for m in range(2, len(bip)):
-        entry = {}
-        for c in range(m, (m * m) // 4 + m + 1):
-            total = sum(
-                2 * bip[m].get((c - t, 0), 0) * comb(m, t)
-                for t in range(1, min(m, c - m + 1) + 1)
-            )
-            if total:
-                entry[(c, 0)] = total
-        table.append(entry)
-    return table
-
-
 def gamma_product(n: int, mode: Mode = Mode.CORRECTED) -> dict[Tuple[int, int, int], int]:
     """The full central-graph series Gamma = G0*G1*G2*G3 on at most n vertices,
     flattened to {(vertices m, cardinality c, type-0 components v): count}."""
-    series = _product(_factors(*_full_tables(n), mode))
+    series = _product(_factors(n, mode, signed=False))
     return {
         (m, c, v): count
         for m, entry in enumerate(series)
@@ -181,10 +133,10 @@ def signed_gamma_product(
     """Gamma at y = -1 on at most n vertices, flattened to
     {(vertices m, type-0 components v): sum_c (-1)^c count(m, c, v)}.
 
-    The same factors and products as :func:`gamma_product`, run on the base
+    The same factors and products as :func:`gamma_product`, built from the
     tables at y = -1, so no entry carries a cardinality.
     """
-    series = _product(_factors(*_signed_tables(n), mode))
+    series = _product(_factors(n, mode, signed=True))
     return {(m, v): s for m, entry in enumerate(series) for (_, v), s in entry.items()}
 
 

@@ -17,8 +17,8 @@ planted into [n] in C(n, m) ways, so
 
 where s(m, v) is the signed count.  The empty subarrangement contributes
 the monic leading term t^n.  On a 2-vCPU Xeon with Python 3.11, chi(n)
-takes about 0.002 s at n = 18, 0.01 s at n = 40 and 0.9 to 1.6 s at
-n = 200, depending on the run.
+takes about 0.003 s at n = 18, 0.013 to 0.021 s at n = 40 and 1.5 to 2.0 s
+at n = 200 (five runs).
 
 Zaslavsky's theorem converts chi_n into chamber counts: the number of
 chambers is (-1)^n chi_n(-1) and the number of relatively bounded chambers

@@ -384,9 +384,18 @@ def _cmd_verify(args: argparse.Namespace) -> Outcome:
     from .oracle import MAX_VERIFICATION_PRIME, default_verification_primes, is_verification_prime
 
     if args.primes is not None:
+        items = args.primes.split(",")
+        for position, item in enumerate(items, start=1):
+            # an optional sign and ASCII digits: int() also takes 1_1 and non-ASCII digits
+            digits = item.strip()
+            digits = digits[1:] if digits[:1] in ("+", "-") else digits
+            if not (digits.isascii() and digits.isdigit()):
+                raise UsageError(
+                    f"--primes must be a comma-separated integer list: item {position} is {item!r}"
+                )
         try:
-            primes = tuple(int(s) for s in args.primes.split(","))
-        except ValueError as exc:
+            primes = tuple(int(item) for item in items)
+        except ValueError as exc:  # more digits than int() converts
             raise UsageError(f"--primes must be a comma-separated integer list: {exc}")
         _reject_repeats("--primes", primes, "prime")
         invalid = [q for q in primes if not is_verification_prime(q)]

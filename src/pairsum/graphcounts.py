@@ -5,9 +5,13 @@ Every series here is an exponential generating function in x (order) and y
 graphs on n vertices with k edges.  The counts are computed as integer
 labeled-count tables (:mod:`pairsum.labeled`, entry m holding
 ``{(k, 0): count}`` for every size k a graph on m vertices can have).  The
-``*_series`` functions convert a table to a :class:`TruncatedSeries` at the
-given caps for callers that want the EGF itself, dropping the sizes above
-``caps.dy``, and :func:`counts_from_egf` converts back through a mandatory
+tables are built from two primitives, (1 + y)^e and y^t.  Run ``signed``,
+the primitives return their values at y = -1 instead; setting y = -1 is a
+ring homomorphism, so every table built from them, its log included, is
+then the same table at y = -1, keyed (0, 0).  The ``*_series`` functions
+convert a table to a :class:`TruncatedSeries` at the given caps for
+callers that want the EGF itself, dropping the sizes above ``caps.dy``,
+and :func:`counts_from_egf` converts back through a mandatory
 divisibility check.
 Only those EGF views and :func:`default_caps` import :mod:`pairsum.series`
 and :mod:`fractions`, so the integer tables load neither.
@@ -19,7 +23,7 @@ from math import comb, factorial
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Tuple
 
 from . import labeled
-from .labeled import Labeled
+from .labeled import Labeled, Poly
 
 if TYPE_CHECKING:
     from .series import TruncatedSeries, TruncationCaps
@@ -99,28 +103,39 @@ def _require_no_z(caps: TruncationCaps) -> None:
 # -- integer labeled-count tables ---------------------------------------------
 
 
-def bicolored_table(n: int) -> Labeled:
+def one_plus_y_power(e: int, *, signed: bool = False) -> Poly:
+    """(1 + y)^e by y-degree, or its value 0^e at y = -1 when signed."""
+    if signed:
+        return {(0, 0): 1} if e == 0 else {}
+    return {(k, 0): comb(e, k) for k in range(e + 1)}
+
+
+def y_power(t: int, *, signed: bool = False) -> Poly:
+    """y^t by y-degree, or its value (-1)^t at y = -1 when signed."""
+    return {(0, 0): (-1) ** t} if signed else {(t, 0): 1}
+
+
+def bicolored_table(n: int, *, signed: bool = False) -> Labeled:
     """Vertex-2-colored bipartite graphs by order m <= n and every size.
 
-    Entry m maps (k, 0) to sum over i of C(m,i)*C(i*(m-i),k): choose the i
-    white vertices, then k edges across the color classes.  Each connected
+    Entry m is sum over i of C(m,i) (1 + y)^(i(m-i)): choose the i white
+    vertices, then any set of edges across the color classes.  Each connected
     bipartite graph appears under exactly two colorings, which is why half of
     the logarithm of this series counts connected bipartite graphs.
     """
     table: Labeled = []
     for m in range(n + 1):
-        entry = {}
-        for k in range((m // 2) * ((m + 1) // 2) + 1):
-            total = sum(comb(m, i) * comb(i * (m - i), k) for i in range(m + 1))
-            if total:
-                entry[(k, 0)] = total
+        entry: Poly = {}
+        for i in range(m + 1):
+            for key, value in one_plus_y_power(i * (m - i), signed=signed).items():
+                entry[key] = entry.get(key, 0) + comb(m, i) * value
         table.append(entry)
     return table
 
 
-def all_graphs_table(n: int) -> Labeled:
-    """All labeled graphs: entry m maps (k, 0) to C(C(m,2), k)."""
-    return [{(k, 0): comb(comb(m, 2), k) for k in range(comb(m, 2) + 1)} for m in range(n + 1)]
+def all_graphs_table(n: int, *, signed: bool = False) -> Labeled:
+    """All labeled graphs: entry m is (1 + y)^C(m,2)."""
+    return [one_plus_y_power(comb(m, 2), signed=signed) for m in range(n + 1)]
 
 
 def without_single_vertex(table: Labeled) -> Labeled:
@@ -128,9 +143,9 @@ def without_single_vertex(table: Labeled) -> Labeled:
     return labeled.difference(table, [{}, {(0, 0): 1}] + [{}] * (len(table) - 2))
 
 
-def connected_table(n: int) -> Labeled:
+def connected_table(n: int, *, signed: bool = False) -> Labeled:
     """Connected labeled graphs: the log of the all-graphs table."""
-    return labeled.log(all_graphs_table(n))
+    return labeled.log(all_graphs_table(n, signed=signed))
 
 
 def half_log(bicolored: Labeled) -> Labeled:
@@ -150,9 +165,9 @@ def half_log(bicolored: Labeled) -> Labeled:
     return halved
 
 
-def connected_bipartite_table(n: int) -> Labeled:
+def connected_bipartite_table(n: int, *, signed: bool = False) -> Labeled:
     """Connected labeled bipartite graphs: half the log of the bicolored table."""
-    return half_log(bicolored_table(n))
+    return half_log(bicolored_table(n, signed=signed))
 
 
 def no_isolated_table(n: int) -> Labeled:

@@ -10,12 +10,10 @@ from itertools import combinations, product
 
 import pytest
 
-from pairsum import graphcounts
+from pairsum import graphcounts, labeled
 from pairsum import central
 from pairsum.central import (
     Mode,
-    gamma2,
-    gamma3_connected,
     gamma_product,
     signed_gamma_product,
     whitney_numbers,
@@ -26,13 +24,12 @@ from pairsum.oracle import central_census
 
 def factor(i, n, mode=Mode.CORRECTED):
     """Factor Gi of Gamma on at most n vertices, resolved by cardinality."""
-    return central._factors(*central._full_tables(n), mode)[i]
+    return central._factors(n, mode, signed=False)[i]
 
 
 def type3_connected(n):
-    """Connected type-3 graphs on at most n vertices, from the connected
-    bipartite table."""
-    return gamma3_connected(graphcounts.connected_bipartite_table(n))
+    """Connected type-3 graphs on at most n vertices: the log of G3."""
+    return labeled.log(factor(3, n))
 
 
 def by_rank(gamma):
@@ -159,10 +156,10 @@ class TestGamma1:
 
 class TestGamma2:
     def test_diagonal_values(self):
-        assert gamma2(3) == [{(0, 0): 1}, {(1, 0): 2}, {(2, 0): 4}, {(3, 0): 8}]
+        assert factor(2, 3) == [{(0, 0): 1}, {(1, 0): 2}, {(2, 0): 4}, {(3, 0): 8}]
 
     def test_no_z_terms(self):
-        for entry in gamma2(5):
+        for entry in factor(2, 5):
             assert all(v == 0 for (_, v) in entry)
 
 
@@ -291,16 +288,25 @@ def at_minus_one(series):
 
 class TestSignedProduct:
     def test_base_tables_are_the_full_tables_at_minus_one(self):
+        builders = (
+            graphcounts.bicolored_table,
+            graphcounts.all_graphs_table,
+            graphcounts.connected_table,
+            graphcounts.connected_bipartite_table,
+        )
         for n in range(1, 11):
-            full = central._full_tables(n)
-            signed = central._signed_tables(n)
-            assert [at_minus_one(table) for table in full] == list(signed), n
+            full = [build(n) for build in builders]
+            signed = [build(n, signed=True) for build in builders]
+            assert [at_minus_one(table) for table in full] == signed, n
+        for power in (graphcounts.one_plus_y_power, graphcounts.y_power):
+            for e in range(46):
+                assert at_minus_one([power(e)]) == [power(e, signed=True)], (power, e)
 
     def test_factors_are_the_full_factors_at_minus_one(self):
         for mode in Mode:
             for n in range(1, 11):
-                full = central._factors(*central._full_tables(n), mode)
-                signed = central._factors(*central._signed_tables(n), mode)
+                full = central._factors(n, mode, False)
+                signed = central._factors(n, mode, True)
                 assert [at_minus_one(f) for f in full] == list(signed), (mode, n)
 
     def test_product_is_the_full_product_at_minus_one(self):
@@ -334,8 +340,8 @@ class TestExtractCounts:
         # graphs; an odd entry there must fail, not be rounded
         true_table = graphcounts.bicolored_table
 
-        def odd_table(n):
-            table = true_table(n)
+        def odd_table(n, signed=False):
+            table = true_table(n, signed=signed)
             table[2][(1, 0)] += 1
             return table
 

@@ -273,8 +273,13 @@ class TestVerify:
         assert out == ""
         assert f"--oracles repeats {repeated}; list each oracle once" in err
 
+    # the item a malformed list names: blank, or not a sign and ASCII digits
+    MALFORMED = {"": "item 1 is ''", " ": "item 1 is ' '", "5,,7": "item 2 is ''",
+                 "1_1": "item 1 is '1_1'", "\u0667": "item 1 is '\u0667'"}
+
     @pytest.mark.parametrize(
-        "primes", ["4,6,8", "5,9", "3", "1,7", "-5", "5,2147483659", "", " "]
+        "primes",
+        ["4,6,8", "5,9", "3", "1,7", "-5", "5,2147483659", "", " ", "5,,7", "1_1", "\u0667"],
     )
     def test_prime_below_five_or_composite_is_usage_error(self, capsys, no_work, primes):
         code, out, err = run(
@@ -282,10 +287,11 @@ class TestVerify:
         )
         assert code == 2
         assert out == ""
-        if primes.strip():
-            assert "--primes must list primes at least 5 and at most 2147483647" in err
-        else:  # a blank list overrides the defaults with nothing
+        if primes in self.MALFORMED:
             assert "--primes must be a comma-separated integer list" in err
+            assert self.MALFORMED[primes] in err
+        else:
+            assert "--primes must list primes at least 5 and at most 2147483647" in err
 
     def test_huge_prime_is_refused_at_once(self):
         # 2^61 - 1 is prime; trial division up to its square root would not

@@ -10,9 +10,7 @@ the primitives return their values at y = -1 instead; setting y = -1 is a
 ring homomorphism, so every table built from them, its log included, is
 then the same table at y = -1, keyed (0, 0).  The ``*_series`` functions
 convert a table to a :class:`TruncatedSeries` at the given caps for
-callers that want the EGF itself, dropping the sizes above ``caps.dy``,
-and :func:`counts_from_egf` converts back through a mandatory
-divisibility check.
+callers that want the EGF itself, dropping the sizes above ``caps.dy``.
 Only those EGF views and :func:`default_caps` import :mod:`pairsum.series`
 and :mod:`fractions`, so the integer tables load neither.
 """
@@ -231,27 +229,6 @@ def graphs_no_isolated_series(caps: TruncationCaps) -> TruncatedSeries:
 def bipartite_no_isolated_series(caps: TruncationCaps) -> TruncatedSeries:
     """EGF of bipartite graphs without isolated vertices."""
     return _egf(caps, bipartite_no_isolated_table)
-
-
-def counts_from_egf(series: TruncatedSeries) -> CountTable:
-    """Convert an EGF to the integer table n! * [x^n y^k].
-
-    A non-integer or negative value means the series was not a graph EGF on
-    this box (usually a cap misconfiguration) and raises ConsistencyError.
-    """
-    entries: dict[tuple[int, int], int] = {}
-    for (n, k, z), coeff in series.items():
-        if z != 0:
-            raise ConsistencyError("graph EGFs carry no z variable")
-        value = coeff * factorial(n)
-        if value.denominator != 1:
-            raise ConsistencyError(
-                f"count at order {n}, size {k} is not an integer: {value}"
-            )
-        if value < 0:
-            raise ConsistencyError(f"count at order {n}, size {k} is negative: {value}")
-        entries[(n, k)] = int(value)
-    return CountTable(entries)
 
 
 def connected_graph_counts(caps: TruncationCaps) -> CountTable:

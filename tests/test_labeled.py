@@ -3,7 +3,7 @@
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairsum import labeled
@@ -16,8 +16,8 @@ polys = st.dictionaries(
 ).map(lambda poly: {key: value for key, value in poly.items() if value})
 
 
-def series(first):
-    return st.lists(polys, min_size=LENGTH - 1, max_size=LENGTH - 1).map(
+def series(first, min_length=LENGTH):
+    return st.lists(polys, min_size=min_length - 1, max_size=LENGTH - 1).map(
         lambda rest: [first, *rest]
     )
 
@@ -25,6 +25,12 @@ def series(first):
 any_series = polys.flatmap(series)
 no_constant = series({})  # valid input to exp
 unit_constant = series(dict(labeled.ONE))  # valid input to log
+any_length = polys.flatmap(lambda first: series(first, min_length=1))
+
+# (1 + y)(1 - y) = 1 - y^2: the y terms cancel inside one product entry, and
+# the operands cover different vertex counts
+ONE_PLUS_Y = [{(0, 0): 1, (1, 0): 1}]
+ONE_MINUS_Y = [{(0, 0): 1, (1, 0): -1}, {}]
 
 fast = settings(max_examples=60, deadline=None)
 
@@ -53,6 +59,31 @@ def test_product_associates(a, b, c):
     left = labeled.product(labeled.product(a, b), c)
     right = labeled.product(a, labeled.product(b, c))
     assert left == right
+
+
+@fast
+@given(any_length, any_length, any_length)
+@example(ONE_PLUS_Y, ONE_MINUS_Y, [{}, {}])
+def test_product_distributes_over_difference(a, b, c):
+    left = labeled.product(a, labeled.difference(b, c))
+    right = labeled.difference(labeled.product(a, b), labeled.product(a, c))
+    assert left == right
+
+
+@fast
+@given(any_length, any_length, series({}, min_length=1), series(dict(labeled.ONE), min_length=1))
+@example(ONE_PLUS_Y, ONE_MINUS_Y, [{}], [dict(labeled.ONE)])
+def test_no_stored_zeros_or_extra_vertex_counts(a, b, f, h):
+    shorter = min(len(a), len(b))
+    results = (
+        (labeled.product(a, b), shorter),
+        (labeled.difference(a, b), shorter),
+        (labeled.exp(f), len(f)),
+        (labeled.log(h), len(h)),
+    )
+    for result, length in results:
+        assert len(result) <= length
+        assert all(value for entry in result for value in entry.values())
 
 
 @fast

@@ -5,43 +5,44 @@ edge {i,j} per wall x_i+x_j=1 and a color 0 or 1 on vertex v per wall x_v=0
 or x_v=1.  The subset has a common point exactly when the graph is central:
 its underlying uncolored part carries no odd cycle through a colored vertex
 and no conflicting colors (equivalently, the stacked linear system is
-consistent).  Central graphs decompose uniquely into four kinds of
-components, and the generating function for all central graphs is the
-product of one factor per kind:
+consistent).  Central graphs decompose uniquely into connected components
+of four kinds:
 
   type 0  uncolored bipartite components (each marked by z),
   type 1  uncolored non-bipartite components,
   type 2  isolated colored vertices,
   type 3  components in which every vertex reaches a colored vertex.
 
-In the product Gamma(x,y,z), x marks the number of vertices, y cardinality
-(edges plus colored vertices) and z the number of type-0 components.  Each
-factor is a labeled-count series (:mod:`pairsum.labeled`) truncated at
-m <= n vertices: entry m maps (c, v) to m! [x^m y^c z^v], the number of
-central graphs of that kind on the vertex set {1..m}.  All arithmetic is on
-integers.  A type-0 component on k vertices has rank k - 1 and every other
-component has full rank, so a graph on m vertices with v type-0 components
-has rank m - v; :func:`whitney_numbers` re-indexes by that rank.
+So by the exponential formula (Stanley, *Enumerative Combinatorics* Vol. 2,
+Sec. 5.1) the generating function Gamma(x,y,z) of all central graphs is
+the exp of the sum of the four connected series, where x marks the number
+of vertices, y cardinality (edges plus colored vertices) and z the number
+of type-0 components.  Each series is a labeled-count series
+(:mod:`pairsum.labeled`) truncated at m <= n vertices: entry m maps (c, v)
+to m! [x^m y^c z^v], the number of graphs of that kind on the vertex set
+{1..m}.  All arithmetic is on integers.  A type-0 component on k vertices
+has rank k - 1 and every other component has full rank, so a graph on m
+vertices with v type-0 components has rank m - v; :func:`whitney_numbers`
+re-indexes by that rank.
 
 The characteristic polynomial reads Gamma only through
 sum_c (-1)^c count(m, c, v), that is at y = -1.  Setting y = -1 is a ring
-homomorphism, so it commutes with the labeled product, exp and log:
-:func:`signed_gamma_product` builds the same four factors with the table
+homomorphism, so it commutes with the sum, exp and log:
+:func:`signed_gamma_product` builds the same four series with the table
 builders of :mod:`pairsum.graphcounts` run ``signed``, reading (1 + y)^e
 as 0^e and y^t as (-1)^t, so every entry is keyed (0, v).  It drops the
-cardinality dimension, which is what made the full product grow as n^6,
+cardinality dimension, which is what made the full Gamma grow as n^6,
 and is the path every command of the CLI takes.  :func:`gamma_product`
 keeps the full trivariate Gamma of the paper, from which
 :func:`whitney_numbers` reads the counts by rank and cardinality.
 
-The type-1 factor exists in two variants, selected by :class:`Mode`.  The
-published closed form subtracts the bipartite isolated-vertex-free series
-from the all-graphs one, which counts every non-bipartite graph including
-those with some bipartite components; from order 5 on (triangle plus a
-disjoint edge) such graphs are also produced by the type-0 factor and the
-product double-counts.  The corrected variant exponentiates the connected
-non-bipartite series, so only graphs all of whose components are
-non-bipartite are counted and the decomposition stays unique.
+The type-1 series exists in two variants, selected by :class:`Mode`:
+conn - cb, the connected non-bipartite graphs, when corrected, and the log
+of the published factor exp(conn - x) - exp(cb - x) + 1 in paper mode.
+That factor counts every graph without isolated vertices that has an odd
+cycle, also those with bipartite components, which type 0 produces again.
+So the paper's error is one term, that log minus conn - cb, nonzero from
+order 5 on (a triangle plus a disjoint edge).
 """
 
 from __future__ import annotations
@@ -64,62 +65,65 @@ from .labeled import Labeled, Poly
 
 
 class Mode(str, enum.Enum):
-    """Type-1 factor variant: the published closed form, or the corrected
-    unique-decomposition form (the default everywhere)."""
+    """Type-1 variant: the log of the published closed form, or the
+    corrected unique-decomposition form (the default everywhere)."""
 
     PAPER = "paper"
     CORRECTED = "corrected"
 
 
-def _factors(
+def _components(
     n: int, mode: Mode, signed: bool
 ) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
-    """The factors G0, G1, G2, G3 on vertex counts 0..n, resolved by
-    cardinality, or at y = -1 when signed.
+    """The connected central graphs of types 0 to 3 on vertex counts 0..n,
+    resolved by cardinality, or at y = -1 when signed.
 
-    cb counts connected bipartite graphs and conn connected graphs.  G0 is
-    exp[z * (cb minus x)]: an uncolored isolated vertex is no wall, so it is
-    left out and planted later.  G1 is exp(conn minus cb) if corrected,
-    exp(conn minus x) - exp(cb minus x) + 1 if paper.  G2 has entry 2^m y^m:
-    the colorings of m isolated colored vertices.  G3 is the exp of the
-    connected type-3 graphs, connected bipartite graphs on m >= 2 vertices
+    cb counts connected bipartite graphs and conn connected graphs.  Type 0
+    is z (cb - x): an uncolored isolated vertex is no wall, so it is left
+    out and planted later.  Type 1 is conn - cb if corrected, the log of
+    exp(conn - x) - exp(cb - x) + 1 (exact: its entry 0 is 1) if paper.
+    Type 2 is 2y on one vertex, the two colorings of an isolated colored
+    vertex.  Type 3 is the connected bipartite graphs on m >= 2 vertices
     with a nonempty set of colored vertices, colored in one of the two ways
     the bipartition allows: entry m is 2 (cb - x)_m ((1 + y)^m - 1).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     # Mode(mode) accepts the member or its value and raises ValueError otherwise
     paper = Mode(mode) is Mode.PAPER
     cb = connected_bipartite_table(n, signed=signed)
     conn = connected_table(n, signed=signed)
     bipartite = without_single_vertex(cb)
-    marked = [{(c, 1): count for (c, _), count in entry.items()} for entry in bipartite]
+    type0 = [{(c, 1): count for (c, _), count in entry.items()} for entry in bipartite]
     if paper:
         g1 = labeled.difference(labeled.exp(without_single_vertex(conn)), labeled.exp(bipartite))
         g1[0] = dict(labeled.ONE)
+        type1 = labeled.log(g1)
     else:
-        g1 = labeled.exp(labeled.difference(conn, cb))
-    g2 = [{key: 2**m * s for key, s in y_power(m, signed=signed).items()} for m in range(n + 1)]
-    g3c: Labeled = []
+        type1 = labeled.difference(conn, cb)
+    type2 = [{}, {key: 2 * s for key, s in y_power(1, signed=signed).items()}] + [{}] * (n - 1)
+    type3: Labeled = []
     for m, entry in enumerate(bipartite):
         colorings = labeled.difference([one_plus_y_power(m, signed=signed)], [labeled.ONE])[0]
         acc: Poly = {}
         labeled._add_product(acc, entry, colorings, 2)
-        g3c.append(acc)
-    return labeled.exp(marked), g1, g2, labeled.exp(g3c)
+        type3.append(acc)
+    return type0, type1, type2, type3
 
 
-def _product(factors: Tuple[Labeled, Labeled, Labeled, Labeled]) -> Labeled:
-    g0, g1, g2, g3 = factors
-    # the z-free factors first: G0, the one factor with z, enters one product
-    flat = labeled.product(labeled.product(g1, g2), g3)
-    return labeled.product(flat, g0)
+def _gamma(n: int, mode: Mode, signed: bool) -> Labeled:
+    """Gamma on vertex counts 0..n: exp of the sum of the four connected kinds."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    total: Labeled = [{} for _ in range(n + 1)]
+    for kind in _components(n, mode, signed):
+        for entry, part in zip(total, kind):
+            labeled._add_product(entry, part, labeled.ONE, 1)  # entry += part
+    return labeled.exp(total)
 
 
 def gamma_product(n: int, mode: Mode = Mode.CORRECTED) -> dict[Tuple[int, int, int], int]:
-    """The full central-graph series Gamma = G0*G1*G2*G3 on at most n vertices,
-    flattened to {(vertices m, cardinality c, type-0 components v): count}."""
-    series = _product(_factors(n, mode, signed=False))
+    """The full central-graph series Gamma on at most n vertices, flattened
+    to {(vertices m, cardinality c, type-0 components v): count}."""
+    series = _gamma(n, mode, signed=False)
     return {
         (m, c, v): count
         for m, entry in enumerate(series)
@@ -133,10 +137,10 @@ def signed_gamma_product(
     """Gamma at y = -1 on at most n vertices, flattened to
     {(vertices m, type-0 components v): sum_c (-1)^c count(m, c, v)}.
 
-    The same factors and products as :func:`gamma_product`, built from the
-    tables at y = -1, so no entry carries a cardinality.
+    The same sum and exp as :func:`gamma_product`, built from the tables at
+    y = -1, so no entry carries a cardinality.
     """
-    series = _product(_factors(n, mode, signed=True))
+    series = _gamma(n, mode, signed=True)
     return {(m, v): s for m, entry in enumerate(series) for (_, v), s in entry.items()}
 
 

@@ -3,16 +3,16 @@
 Three oracles, none of which touches the generating-function pipeline:
 
 * :func:`whitney_chi` sums (-1)^|B| t^(n-rank B) over every central subset
-  of walls, read off :func:`central_census` (exact integer elimination;
-  guarded at n <= 5, n = 6 takes about 0.35 s);
+  of walls, read off :func:`central_census` (exact integer elimination,
+  one per wall and flat reached: O(W F) for the W = n(n + 3)/2 walls and
+  the F flats of the arrangement; guarded at n <= 5);
 * :func:`finite_field_count` counts the points of F_q^n lying on no wall,
   by the partner classes {a, 1 - a} their coordinates take, at any n and
   any prime 5 <= q <= 2^31 - 1: O(n^2) integer work once per n, then O(n)
   per prime; :func:`interpolated_chi` rebuilds chi_n from n + 1 such counts;
 * :func:`enumerate_graphs` classifies every labeled graph on up to six
   vertices by size, components, bipartite components and isolated vertices
-  (on a 2-vCPU Xeon, n = 6 takes about 0.02 s, n = 7 with limit=7 about
-  0.13 s).
+  (one join per edge and state: O(C(n, 2) B_n 2^n), B_n the Bell number).
 
 The subset census and the graph census are forward passes: they add one wall
 (or one edge) at a time, vertex by vertex, to every state reached so far,
@@ -296,8 +296,9 @@ def interpolated_chi(n: int, primes: Sequence[int]) -> IntPolynomial:
     """Characteristic polynomial reconstructed purely from point counts.
 
     Counts the complement points over at least n+1 prime fields and
-    interpolates, which checks every coefficient at once at any n: on a
-    2-vCPU Xeon the first 201 primes from 5 rebuild chi_200 in about 0.055 s.
+    interpolates, which checks every coefficient at once at any n: for
+    n + 1 primes that is O(n^2) big-integer work, the onto rows once, O(n)
+    per count and O(n^2) for the Newton interpolation.
     """
     points = [(q, finite_field_count(n, q)) for q in sorted(set(primes))]
     return interpolate_counts(points, n)

@@ -165,8 +165,8 @@ def test_criterion_5_graph_census():
         for k in range(0, comb(n, 2) + 1):
             assert bip[(n, k)] == brute_bip.get(k, 0), ("bipartite", n, k)
             assert conn[(n, k)] == brute_conn.get(k, 0), ("connected", n, k)
-    paper_g1 = central._factors(5, Mode.PAPER, signed=False)[1]
-    corrected_g1 = central._factors(5, Mode.CORRECTED, signed=False)[1]
+    paper_g1 = labeled.exp(central._components(5, Mode.PAPER, signed=False)[1])
+    corrected_g1 = labeled.exp(central._components(5, Mode.CORRECTED, signed=False)[1])
     assert paper_g1[5][(4, 0)] == 10
     assert corrected_g1[5].get((4, 0), 0) == 0
     assert time.perf_counter() - start < 10.0

@@ -1,8 +1,10 @@
-"""The four central-graph factors and their product, checked against the
-worked small cases and an independent colored-graph enumeration.
+"""The four kinds of connected central graphs, their factors and Gamma,
+checked against the worked small cases and an independent colored-graph
+enumeration.
 
-Factors are labeled-count series: entry m maps (cardinality c, bipartite
-components v) to the number of such graphs on the vertex set {1..m}.
+Kinds and factors are labeled-count series: entry m maps (cardinality c,
+bipartite components v) to the number of such graphs on the vertex set
+{1..m}.
 """
 
 from fractions import Fraction
@@ -19,12 +21,13 @@ from pairsum.central import (
     whitney_numbers,
 )
 from pairsum.graphcounts import ConsistencyError
-from pairsum.oracle import central_census
+from pairsum.oracle import central_census, enumerate_graphs
 
 
 def factor(i, n, mode=Mode.CORRECTED):
-    """Factor Gi of Gamma on at most n vertices, resolved by cardinality."""
-    return central._factors(n, mode, signed=False)[i]
+    """Factor Gi of Gamma on at most n vertices, resolved by cardinality:
+    the exp of the type-i connected kind."""
+    return labeled.exp(central._components(n, mode, signed=False)[i])
 
 
 def type3_connected(n):
@@ -153,6 +156,24 @@ class TestGamma1:
             for entry in factor(1, 6, mode):
                 assert all(v == 0 for (_, v) in entry)
 
+    def test_paper_error_is_the_mixed_graph_family(self):
+        # the paper's type-1 kind minus the corrected one, and the same
+        # difference of their factors, count the graphs with no isolated
+        # vertex, a bipartite component and a non-bipartite one: the graphs
+        # that the type-0 components produce a second time
+        paper, corrected = (central._components(6, mode, signed=False)[1] for mode in Mode)
+        kinds = labeled.difference(paper, corrected)
+        factors = labeled.difference(labeled.exp(paper), labeled.exp(corrected))
+        totals = []
+        for m in range(1, 7):
+            mixed = enumerate_graphs(m)._by_size(
+                lambda comps, bip, iso: iso == 0 and bip >= 1 and comps > bip
+            )
+            for series in (kinds, factors):
+                assert {c: count for (c, _), count in series[m].items()} == mixed, m
+            totals.append(sum(mixed.values()))
+        assert totals == [0, 0, 0, 0, 10, 345]
+
 
 class TestGamma2:
     def test_diagonal_values(self):
@@ -274,6 +295,16 @@ class TestGammaProduct:
         with pytest.raises(ValueError):
             gamma_product(0)
 
+    def test_is_the_product_of_the_four_factors(self):
+        # the paper's factored form, exp of each kind and their product,
+        # against the one exp of the sum
+        for mode in Mode:
+            for signed, top in ((True, 40), (False, 8)):
+                for n in range(1, top + 1):
+                    g0, g1, g2, g3 = map(labeled.exp, central._components(n, mode, signed))
+                    product = labeled.product(labeled.product(g0, g1), labeled.product(g2, g3))
+                    assert central._gamma(n, mode, signed) == product, (mode, signed, n)
+
 
 def at_minus_one(series):
     """Each entry of a labeled-count series summed over c with sign (-1)^c."""
@@ -305,8 +336,8 @@ class TestSignedProduct:
     def test_factors_are_the_full_factors_at_minus_one(self):
         for mode in Mode:
             for n in range(1, 11):
-                full = central._factors(n, mode, False)
-                signed = central._factors(n, mode, True)
+                full = central._components(n, mode, False)
+                signed = central._components(n, mode, True)
                 assert [at_minus_one(f) for f in full] == list(signed), (mode, n)
 
     def test_product_is_the_full_product_at_minus_one(self):

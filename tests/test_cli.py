@@ -305,7 +305,7 @@ class TestVerify:
         assert proc.stdout == ""
         assert "--primes must list primes at least 5" in proc.stderr
 
-    def test_nothing_checked_is_skipped_not_pass(self, capsys):
+    def test_given_primes_are_all_counted(self, capsys):
         # given primes are all counted, however large q^n is
         code, out, _ = run(
             capsys, "verify", "--n", "7", "--oracles", "ffield", "--max-n", "7",
@@ -319,7 +319,7 @@ class TestVerify:
         ] == [(29, "ran", "PASS"), (31, "ran", "PASS"), (37, "ran", "PASS")]
         assert report["result"] == "PASS"
 
-    def test_given_primes_rebuild_chi_past_the_point_budget(self, capsys):
+    def test_given_primes_rebuild_chi_at_rank_twelve(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--n", "12", "--max-n", "12", "--oracles", "ffield",
             "--primes", "5,7,11,13,17,19,23,29,31,37,41,43,47",
@@ -340,7 +340,7 @@ class TestVerify:
         ]
         assert section["interpolation"]["result"] == "PASS"
 
-    def test_no_prime_within_budget_is_skipped(self, capsys):
+    def test_default_primes_at_rank_twelve_are_thirteen(self, capsys):
         # the defaults are the first n + 1 primes from 5 at any n
         code, out, _ = run(
             capsys, "verify", "--n", "12", "--oracles", "ffield", "--format", "json"

@@ -324,7 +324,7 @@ class TestFiniteFieldCount:
         n, q = sample
         assert finite_field_count(n, q) == chi(n)(q)
 
-    def test_largest_field_within_the_budget(self):
+    def test_large_field_at_rank_two(self):
         assert finite_field_count(2, 12241) == chi(2)(12241)
 
     def test_rejects_bad_modulus(self):
@@ -335,7 +335,7 @@ class TestFiniteFieldCount:
         with pytest.raises(ValueError):
             finite_field_count(2, 3)
 
-    def test_budget_guard(self):
+    def test_rank_eight_over_f31(self):
         assert finite_field_count(8, 31) == chi(8)(31)
 
     def test_interleaved_ranks_share_no_rows(self):
@@ -363,7 +363,7 @@ class TestFiniteFieldCount:
             5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47
         )
 
-    def test_default_primes_fit_the_budget_from_rank_six(self):
+    def test_default_primes_are_the_first_n_plus_one_from_five(self):
         # n + 1 primes pin all n + 1 coefficients of chi_n; n = 5 keeps the
         # three primes its recorded benchmark output uses
         for n in range(1, 61):

@@ -4,15 +4,15 @@ Three oracles, none of which touches the generating-function pipeline:
 
 * :func:`whitney_chi` sums (-1)^|B| t^(n-rank B) over every central subset
   of walls, read off :func:`central_census` (exact integer elimination,
-  one per wall and flat reached: O(W F) for the W = n(n + 3)/2 walls and
-  the F flats of the arrangement; guarded at n <= 5);
+  one per pair wall and flat reached in each of floor((n + 2)^2/4) passes,
+  one per orbit of pin patterns; guarded at n <= 5);
 * :func:`finite_field_count` counts the points of F_q^n lying on no wall,
   by the partner classes {a, 1 - a} their coordinates take, at any n and
   any prime 5 <= q <= 2^31 - 1: O(n^2) integer work once per n, then O(n)
   per prime; :func:`interpolated_chi` rebuilds chi_n from n + 1 such counts;
 * :func:`enumerate_graphs` classifies every labeled graph on up to six
   vertices by size, components, bipartite components and isolated vertices
-  (one join per edge and state: O(C(n, 2) B_n 2^n), B_n the Bell number).
+  (one join per edge and state; 24 states at n = 6).
 
 The subset census and the graph census are forward passes: they add one wall
 (or one edge) at a time, vertex by vertex, to every state reached so far,
@@ -20,8 +20,10 @@ where a state is what decides the rest of the count (the flat a central
 subset cuts out; the components of a graph and a 2-colouring of each
 bipartite one).  Subsets that reach the same state are counted together,
 so the work grows with the number of states, not with the 2^(walls) or
-2^(edges) subsets they summarize.  Every oracle is serial, pure Python,
-deterministic and exact in plain integers.
+2^(edges) subsets they summarize.  Both count up to symmetry: the subset
+census runs once per orbit of pin patterns under relabelling and x -> 1 - x,
+and the graph census merges relabelled states after each vertex.  Every
+oracle is serial, pure Python, deterministic and exact in plain integers.
 
 Centrality is decided by exact linear algebra: a wall set has a common
 point exactly when the rank of the stacked normal matrix equals the rank of
@@ -33,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import islice
 from math import comb, gcd
-from typing import Any, Callable, Hashable, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .charpoly import IntPolynomial
 from .graphcounts import GRAPH_CENSUS_LIMIT, CountTable
@@ -41,8 +43,8 @@ from .graphcounts import GRAPH_CENSUS_LIMIT, CountTable
 # The largest n the subset census runs at by default (the graph census's,
 # GRAPH_CENSUS_LIMIT, is in graphcounts).
 SUBSET_SCAN_LIMIT = 5
-# The largest prime a point count accepts, itself a prime: it bounds the
-# trial division that checks q to 46,341 steps.
+# The largest prime a point count accepts, itself a prime, and below the
+# 3,215,031,751 up to which the Miller-Rabin test in _is_prime is exact.
 MAX_VERIFICATION_PRIME = 2**31 - 1
 
 Row = Tuple[int, ...]
@@ -94,18 +96,16 @@ def _insert(state: State, row: Row) -> Optional[State]:
 # -- forward passes ----------------------------------------------------------
 
 
-def _forward_pass(
-    start: Hashable, steps: Iterable, join: Callable[[Any, Any], Any]
-) -> dict:
+def _forward_pass(states: dict, steps: Iterable, join: Callable[[Any, Any], Any]) -> dict:
     """Count subsets of steps by the state they reach and their size.
 
-    Returns {state: {size: count}} starting from {start: {0: 1}}.  Each step
-    either stays out, or joins through join(state, step), which returns the
-    new state, or None to drop the branch.  Subsets that reach the same state
-    share its entry, so the work grows with the number of distinct states
-    rather than with the number of subsets.
+    Starts from the counts states, {state: {size: count}}, and returns them
+    in the same form.  Each step either stays out, or joins through
+    join(state, step), which returns the new state, or None to drop the
+    branch.  Subsets that reach the same state share its entry, so the work
+    grows with the number of distinct states rather than with the number of
+    subsets.
     """
-    states: dict = {start: {0: 1}}
     for step in steps:
         reached: dict = {}
         for state, sizes in states.items():
@@ -122,18 +122,19 @@ def _forward_pass(
 # -- central subset census -------------------------------------------------
 
 
+def _wall(n: int, support: set[int], constant: int) -> Row:
+    """The augmented row of the wall sum(x_t for t in support) = constant."""
+    return (*(int(t in support) for t in range(n)), constant)
+
+
 def _arrangement_rows(n: int) -> list[Row]:
     """The walls as augmented rows, vertex by vertex: for each v, x_v = 0,
     x_v = 1, then x_u + x_v = 1 for every u < v.  A census does not depend on
     the order, and this one keeps fewer flats alive at each step."""
-
-    def wall(support: set[int], constant: int) -> Row:
-        return (*(int(t in support) for t in range(n)), constant)
-
     rows: list[Row] = []
     for v in range(n):
-        rows += [wall({v}, 0), wall({v}, 1)]
-        rows += [wall({u, v}, 1) for u in range(v)]
+        rows += [_wall(n, {v}, 0), _wall(n, {v}, 1)]
+        rows += [_wall(n, {u, v}, 1) for u in range(v)]
     return rows
 
 
@@ -151,18 +152,29 @@ def _guard(n: int, limit: int, what: str) -> None:
 def central_census(n: int, *, limit: int = SUBSET_SCAN_LIMIT) -> CountTable:
     """Number of central wall subsets by (rank, cardinality).
 
-    One forward pass over the walls.  The state of a central subset is the
-    reduced echelon form of its walls, that is the flat they cut out; a wall
-    that leaves no common point drops the branch, since supersets of a
-    non-central set are never central.  Each flat is eliminated once per
-    wall, however many subsets reach it.
+    A central subset holds at most one pin (x_v = 0 or x_v = 1) per vertex.
+    Relabelling the coordinates and the flip x -> 1 - x map walls to walls,
+    fix the pair walls x_u + x_v = 1 as a set and keep rank and size, so one
+    forward pass over the pair walls serves each orbit of pin patterns: it
+    starts from the flat of vertices 0..zeros-1 on x = 0 and the next ones
+    on x = 1 (zeros >= ones), and counts n!/(zeros! ones! free!) times, twice
+    that when zeros != ones.  The floor((n + 2)^2/4) passes make 1,033
+    eliminations at n = 5 and 6,676 at n = 6, against 4,277 and 30,957 for
+    one pass over every wall.
     """
     _guard(n, limit, "central_census")
+    pairs = [_wall(n, {u, v}, 1) for v in range(n) for u in range(v)]
     totals: dict[tuple[int, int], int] = {}
-    for state, sizes in _forward_pass((), _arrangement_rows(n), _insert).items():
-        for size, count in sizes.items():
-            key = (len(state), size)
-            totals[key] = totals.get(key, 0) + count
+    for zeros in range(n + 1):
+        for ones in range(min(zeros, n - zeros) + 1):
+            pins: State = ()
+            for v in range(zeros + ones):
+                pins = _insert(pins, _wall(n, {v}, int(v >= zeros)))
+            weight = comb(n, zeros) * comb(n - zeros, ones) * (1 + (zeros != ones))
+            for state, sizes in _forward_pass({pins: {0: 1}}, pairs, _insert).items():
+                for size, count in sizes.items():
+                    key = (len(state), size + zeros + ones)
+                    totals[key] = totals.get(key, 0) + weight * count
     return CountTable(totals)
 
 
@@ -179,13 +191,17 @@ def whitney_chi(n: int, *, limit: int = SUBSET_SCAN_LIMIT) -> IntPolynomial:
 
 
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
+    """Miller-Rabin to the bases 2, 3, 5 and 7, which is exact for every q
+    below 3,215,031,751, so for every q up to MAX_VERIFICATION_PRIME."""
+    if q < 11:
+        return q in (2, 3, 5, 7)
+    odd, twos = q - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, odd, q)
+        if x != 1 and all(pow(x, 1 << k, q) != q - 1 for k in range(twos)):
+            return False  # base witnesses that q is composite
     return True
 
 
@@ -369,13 +385,31 @@ def _join_edge(code: Tuple[int, ...], edge: tuple[int, int]) -> Tuple[int, ...]:
     return tuple([3 * low + 2 if c // 3 in (fu, fv) else c for c in code])
 
 
+def _canonical(code: Tuple[int, ...], m: int) -> Tuple[int, ...]:
+    """code with vertices 0..m-1 relabelled: the components sorted by type (an
+    odd one by its size, a bipartite one by its colour-class sizes) and laid
+    out in that order, the larger colour class first."""
+    kinds: dict[int, list[int]] = {}
+    for c in code[:m]:
+        kinds.setdefault(c // 3, [0, 0, 0])[c % 3] += 1
+    out: list[int] = []
+    for big, small, odd in sorted((max(a, b), min(a, b), odd) for a, b, odd in kinds.values()):
+        first = 3 * len(out)
+        out += [first + 2] * odd if odd else [first] * big + [first + 1] * small
+    return (*out, *code[m:])
+
+
 def enumerate_graphs(n: int, *, limit: int = GRAPH_CENSUS_LIMIT) -> GraphCensus:
     """Classify all 2^C(n,2) labeled graphs on [n].
 
-    One forward pass over the edges, vertex by vertex ((u, v) for every
-    u < v, as v grows), the state of a graph being its components, which of
-    them are bipartite, and a 2-colouring of each bipartite one.  Graphs with
-    the same state share one entry, so the pass visits states, not graphs.
+    A forward pass over the edges, vertex by vertex ((u, v) for every u < v,
+    as v grows), the state of a graph being its components, which of them
+    are bipartite, and a 2-colouring of each bipartite one.  Once the edges
+    among vertices 0..v are in, the edges still to come treat those vertices
+    alike, so relabelling them changes no final class: after each vertex
+    every state becomes its canonical relabelling and the states that meet
+    are counted together.  A state is then a multiset of component types: 24
+    of them at n = 6 and 39 at n = 7, against 924 and 5,952 unmerged.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -384,8 +418,14 @@ def enumerate_graphs(n: int, *, limit: int = GRAPH_CENSUS_LIMIT) -> GraphCensus:
             f"enumerate_graphs visits 2^{comb(n, 2)} graphs and is guarded at "
             f"n <= {limit}; pass limit={n} to override"
         )
-    edges = [(u, v) for v in range(n) for u in range(v)]
-    states = _forward_pass(tuple(range(0, 3 * n, 3)), edges, _join_edge)
+    states: dict = {tuple(range(0, 3 * n, 3)): {0: 1}}
+    for v in range(1, n):
+        merged: dict = {}
+        for code, sizes in _forward_pass(states, [(u, v) for u in range(v)], _join_edge).items():
+            into = merged.setdefault(_canonical(code, v + 1), {})
+            for size, count in sizes.items():
+                into[size] = into.get(size, 0) + count
+        states = merged
     counts: dict[tuple[int, int, int, int], int] = {}
     for code, sizes in states.items():
         firsts = [c // 3 for c in code]

@@ -294,8 +294,8 @@ class TestVerify:
             assert "--primes must list primes at least 5 and at most 2147483647" in err
 
     def test_huge_prime_is_refused_at_once(self):
-        # 2^61 - 1 is prime; trial division up to its square root would not
-        # finish, so the bound must be tested first
+        # 2^61 - 1 is prime, but far above the range where the Miller-Rabin
+        # check is exact, so the bound must be tested first
         proc = subprocess.run(
             [sys.executable, "-m", "pairsum", "verify", "--n", "1",
              "--primes", "2305843009213693951"],

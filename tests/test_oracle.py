@@ -17,8 +17,10 @@ from pairsum.charpoly import IntPolynomial, chi
 from pairsum.oracle import (
     MAX_VERIFICATION_PRIME,
     _arrangement_rows,
+    _canonical,
     _forward_pass,
     _insert,
+    _is_prime,
     _join_edge,
     central_census,
     default_verification_primes,
@@ -83,10 +85,26 @@ def rank_and_centrality(rows):
 def census_in_order(rows):
     """The central census of a forward pass over rows in the given order."""
     totals = {}
-    for state, sizes in _forward_pass((), rows, _insert).items():
+    for state, sizes in _forward_pass({(): {0: 1}}, rows, _insert).items():
         for size, count in sizes.items():
             totals[(len(state), size)] = totals.get((len(state), size), 0) + count
     return totals
+
+
+def census_unmerged(n):
+    """The graph census of one forward pass over every edge, vertex by vertex,
+    that merges no relabelled states."""
+    edges = [(u, v) for v in range(n) for u in range(v)]
+    counts = {}
+    for code, sizes in _forward_pass({tuple(range(0, 3 * n, 3)): {0: 1}}, edges, _join_edge).items():
+        firsts = [c // 3 for c in code]
+        comps = set(firsts)
+        bip = sum(code[f] == 3 * f for f in comps)
+        iso = sum(firsts.count(f) == 1 for f in comps)
+        for size, count in sizes.items():
+            key = (size, len(comps), bip, iso)
+            counts[key] = counts.get(key, 0) + count
+    return counts
 
 
 def rational_echelon(rows, ncols):
@@ -315,7 +333,7 @@ class TestFiniteFieldCount:
                     checked += 1
         assert checked == 49
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         st.tuples(st.integers(1, 30), st.sampled_from(FIELD_PRIMES))
     )
@@ -346,7 +364,7 @@ class TestFiniteFieldCount:
 
     def test_prime_bound(self):
         # 2^31 - 1 is prime and accepted; larger primes are refused at once,
-        # before any trial division
+        # before any primality test
         assert MAX_VERIFICATION_PRIME == 2**31 - 1
         assert is_verification_prime(MAX_VERIFICATION_PRIME)
         assert not is_verification_prime(2**31 + 11)
@@ -354,6 +372,23 @@ class TestFiniteFieldCount:
         assert finite_field_count(3, MAX_VERIFICATION_PRIME) == chi(3)(MAX_VERIFICATION_PRIME)
         with pytest.raises(ValueError, match=str(MAX_VERIFICATION_PRIME)):
             finite_field_count(3, 2**61 - 1)
+
+    def test_primality_matches_a_sieve(self):
+        sieve = [False, False] + [True] * (200_000 - 2)
+        for p in range(2, 448):
+            if sieve[p]:
+                sieve[p * p :: p] = [False] * len(range(p * p, 200_000, p))
+        assert [q for q in range(200_000) if _is_prime(q)] == [
+            q for q, prime in enumerate(sieve) if prime
+        ]
+
+    def test_primality_rejects_pseudoprimes(self):
+        # 25,326,001 = 2251 * 11251 is a strong pseudoprime to the bases 2, 3
+        # and 5, which base 7 exposes; 561 and 1105 are Carmichael numbers
+        assert 2251 * 11251 == 25_326_001
+        for q in (25_326_001, 561, 1105):
+            assert not _is_prime(q), q
+        assert _is_prime(2**31 - 1)
 
     def test_default_primes(self):
         assert default_verification_primes(3) == (5, 7, 11, 13)
@@ -515,6 +550,24 @@ class TestEnumerateGraphs:
         start = tuple(range(0, 3 * n, 3))
         assert reduce(_join_edge, shuffled, start) == reduce(_join_edge, edges, start)
 
+    def test_merged_states_count_like_one_plain_pass(self):
+        for n in range(1, 8):
+            assert dict(enumerate_graphs(n, limit=7).entries.items()) == census_unmerged(n), n
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.randoms(use_true_random=False))
+    def test_canonical_state_does_not_depend_on_labels(self, n, rng):
+        # relabelling the first m vertices of a graph whose edges all lie
+        # among them leaves its canonical state as it is
+        m = rng.randint(1, n)
+        edges = [(u, v) for v in range(m) for u in range(v) if rng.random() < 0.5]
+        perm = rng.sample(range(m), m)
+        moved = [tuple(sorted((perm[u], perm[v]))) for u, v in edges]
+        start = tuple(range(0, 3 * n, 3))
+        assert _canonical(reduce(_join_edge, moved, start), m) == _canonical(
+            reduce(_join_edge, edges, start), m
+        )
+
     def test_guard(self):
         with pytest.raises(ValueError):
             enumerate_graphs(7)
@@ -577,3 +630,19 @@ class TestCentralCensus:
         from pairsum.central import Mode, whitney_numbers
 
         assert central_census(6, limit=6) == whitney_numbers(6, Mode.CORRECTED)
+
+    def test_orbit_passes_count_like_one_pass_over_every_wall(self):
+        for n in range(1, 7):
+            assert dict(central_census(n, limit=6).items()) == census_in_order(
+                _arrangement_rows(n)
+            ), n
+
+    def test_rank_seven_pipeline(self):
+        from pairsum.central import Mode, whitney_numbers
+
+        census = central_census(7, limit=7)
+        assert census == whitney_numbers(7, Mode.CORRECTED)
+        coeffs = [0] * 8
+        for (rank, size), count in census.items():
+            coeffs[7 - rank] += -count if size % 2 else count
+        assert IntPolynomial(coeffs) == chi(7)

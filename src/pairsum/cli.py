@@ -98,39 +98,6 @@ def _cmd_chambers(args: argparse.Namespace) -> Outcome:
 # -- table -------------------------------------------------------------------
 
 
-def _render_table_text(n_max: int, mode: str, rows: list[dict]) -> str:
-    lines = [f"characteristic polynomials, mode={mode}, n=2..{n_max}"]
-    for row in rows:
-        lines.append(f"n={row['n']}: {row['polynomial']}")
-        lines.append(
-            f"  chambers total={row['chambers']['total']} "
-            f"bounded={row['chambers']['bounded']}"
-        )
-        if not row["signs_alternate"]:
-            lines.append("  WARNING: coefficient signs do not alternate")
-        pub = row["published"]
-        if pub is None:
-            lines.append("  published: (none)")
-            continue
-        if not pub["signs_alternate"]:
-            lines.append("  published row: coefficient signs do not alternate")
-        if pub["matches"]:
-            lines.append("  published: matches")
-            continue
-        for diff in pub["polynomial_differences"]:
-            lines.append(
-                f"  published differs at t^{diff['power']}: "
-                f"computed {diff['computed']}, published {diff['published']}"
-            )
-        cd = pub["chamber_total_difference"]
-        if cd is not None:
-            lines.append(
-                f"  published chamber total differs: computed {cd['computed']}, "
-                f"published {cd['published']}"
-            )
-    return "\n".join(lines)
-
-
 def _cmd_table(args: argparse.Namespace) -> Outcome:
     n_max = args.to
     _check_range("--to", n_max, 2, args.max_n)
@@ -138,6 +105,7 @@ def _cmd_table(args: argparse.Namespace) -> Outcome:
 
     polys = chi_table(n_max, Mode(args.mode))
     rows = []
+    lines = [f"characteristic polynomials, mode={args.mode}, n=2..{n_max}"]
     for n, poly in enumerate(polys, 2):
         total, bounded = ChamberCounts.of(poly)
         row = {
@@ -148,30 +116,49 @@ def _cmd_table(args: argparse.Namespace) -> Outcome:
             "chambers": {"total": str(total), "bounded": str(bounded)},
             "published": None,
         }
-        reference = published_chi(n)
-        if reference is not None:
-            differences = _diff_entries(poly, reference)
-            ref_total = published_chamber_total(n)
-            chamber_diff = None
-            if ref_total is not None and ref_total != total:
-                chamber_diff = {"computed": str(total), "published": str(ref_total)}
-            row["published"] = {
-                "coeffs": _str_coeffs(reference),
-                "signs_alternate": signs_alternate(reference),
-                "chamber_total": None if ref_total is None else str(ref_total),
-                "polynomial_differences": differences,
-                "chamber_total_difference": chamber_diff,
-                "matches": not differences and chamber_diff is None,
-            }
         rows.append(row)
+        lines += [f"n={n}: {row['polynomial']}", f"  chambers total={total} bounded={bounded}"]
+        if not row["signs_alternate"]:
+            lines.append("  WARNING: coefficient signs do not alternate")
+        reference = published_chi(n)
+        if reference is None:
+            lines.append("  published: (none)")
+            continue
+        differences = _diff_entries(poly, reference)
+        ref_total = published_chamber_total(n)
+        chamber_diff = None
+        if ref_total is not None and ref_total != total:
+            chamber_diff = {"computed": str(total), "published": str(ref_total)}
+        pub = row["published"] = {
+            "coeffs": _str_coeffs(reference),
+            "signs_alternate": signs_alternate(reference),
+            "chamber_total": None if ref_total is None else str(ref_total),
+            "polynomial_differences": differences,
+            "chamber_total_difference": chamber_diff,
+            "matches": not differences and chamber_diff is None,
+        }
+        if not pub["signs_alternate"]:
+            lines.append("  published row: coefficient signs do not alternate")
+        if pub["matches"]:
+            lines.append("  published: matches")
+            continue
+        lines += [
+            f"  published differs at t^{d['power']}: "
+            f"computed {d['computed']}, published {d['published']}"
+            for d in differences
+        ]
+        if chamber_diff is not None:
+            lines.append(
+                f"  published chamber total differs: computed {total}, published {ref_total}"
+            )
 
     def latex() -> str:
-        lines = [f"\\[ \\chi_{{{n}}}(t) = {poly.latex()} \\]" for n, poly in enumerate(polys, 2)]
+        display = [f"\\[ \\chi_{{{n}}}(t) = {poly.latex()} \\]" for n, poly in enumerate(polys, 2)]
         counts = [(row["n"], row["chambers"]["total"], row["chambers"]["bounded"]) for row in rows]
-        return "\n".join(lines + [_latex_array("r|rr", ("n", "r_n", "b_n"), counts)])
+        return "\n".join(display + [_latex_array("r|rr", ("n", "r_n", "b_n"), counts)])
 
     return 0, {"to": n_max, "mode": args.mode, "rows": rows}, {
-        "text": lambda: _render_table_text(n_max, args.mode, rows),
+        "text": lambda: "\n".join(lines),
         "latex": latex,
     }
 
@@ -189,31 +176,24 @@ def _cmd_bipartite(args: argparse.Namespace) -> Outcome:
 
         census = {n: enumerate_graphs(n).connected_bipartite_by_size() for n in range(1, n_max + 1)}
     rows = []
+    lines = ["connected labeled bipartite graphs by (order, size)"]
     mismatch = False
     for (n, k), count in sorted(graphcounts.count_table(table).items()):
         row = {"n": n, "k": k, "count": str(count)}
+        rows.append(row)
+        lines.append(f"b({n},{k}) = {count}")
         if census is not None:
             row["census"] = str(census[n].get(k, 0))
-            mismatch = mismatch or row["census"] != row["count"]
-        rows.append(row)
+            ok = row["census"] == row["count"]
+            mismatch = mismatch or not ok
+            lines[-1] += f"  [census {row['census']}: {'ok' if ok else 'MISMATCH'}]"
     payload = {"to": n_max, "rows": rows, "census_included": census is not None}
     if census is not None:
         payload["census_matches"] = not mismatch
-
-    def text() -> str:
-        lines = ["connected labeled bipartite graphs by (order, size)"]
-        for row in rows:
-            line = f"b({row['n']},{row['k']}) = {row['count']}"
-            if "census" in row:
-                tag = "ok" if row["census"] == row["count"] else "MISMATCH"
-                line += f"  [census {row['census']}: {tag}]"
-            lines.append(line)
-        if census is not None:
-            lines.append("census comparison: " + ("FAIL" if mismatch else "PASS"))
-        return "\n".join(lines)
+        lines.append("census comparison: " + ("FAIL" if mismatch else "PASS"))
 
     return int(mismatch), payload, {
-        "text": text,
+        "text": lambda: "\n".join(lines),
         "latex": lambda: _latex_array(
             "rrr", ("n", "k", "\\bar b_{n,k}"), [(r["n"], r["k"], r["count"]) for r in rows]
         ),
@@ -224,7 +204,9 @@ def _cmd_bipartite(args: argparse.Namespace) -> Outcome:
 #
 # Every oracle takes (n, the polynomials of both modes, the published one or
 # None, the primes) and returns (its report section, whether corrected mode
-# failed).
+# failed, its text lines).
+
+_Verdict = tuple[dict, bool, list[str]]
 
 
 def _compare(computed: IntPolynomial, reference: IntPolynomial, label: str) -> dict:
@@ -232,45 +214,58 @@ def _compare(computed: IntPolynomial, reference: IntPolynomial, label: str) -> d
     return {"result": label if differences else "PASS", "differences": differences}
 
 
+def _compared(label: str, cmp: dict, noun: str) -> str:
+    if not cmp["differences"]:
+        return f"  {label}: PASS"
+    first = cmp["differences"][0]
+    return (
+        f"  {label}: {cmp['result']} (first difference at t^{first['power']}: "
+        f"computed {first['computed']}, {noun} {first['published']})"
+    )
+
+
+def _skipped(name: str, reason: str) -> _Verdict:
+    return {"status": "skipped", "reason": reason}, False, [f"  {name}: skipped ({reason})"]
+
+
 def _verify_whitney(
     n: int, polys: dict[str, IntPolynomial], reference: IntPolynomial | None, primes: Sequence[int]
-) -> tuple[dict, bool]:
+) -> _Verdict:
     from .oracle import SUBSET_SCAN_LIMIT, whitney_chi
 
     if n > SUBSET_SCAN_LIMIT:
-        return {
-            "status": "skipped",
-            "reason": "whitney oracle enumerates all wall subsets and is guarded at "
+        return _skipped(
+            "whitney",
+            "whitney oracle enumerates all wall subsets and is guarded at "
             f"n <= {SUBSET_SCAN_LIMIT}",
-        }, False
+        )
     oracle_poly = whitney_chi(n)
-    section = {
-        "status": "ran",
-        "polynomial": _str_coeffs(oracle_poly),
-        "corrected": _compare(polys["corrected"], oracle_poly, "FAIL"),
-        "paper": _compare(polys["paper"], oracle_poly, "DIVERGENT"),
-    }
+    section = {"status": "ran", "polynomial": _str_coeffs(oracle_poly)}
+    lines = []
+    for mode, label in (("corrected", "FAIL"), ("paper", "DIVERGENT")):
+        section[mode] = _compare(polys[mode], oracle_poly, label)
+        lines.append(_compared(f"whitney vs {mode}", section[mode], "oracle"))
     if reference is not None:
-        section["published_vs_oracle"] = _compare(reference, oracle_poly, "DIVERGENT")
-    return section, section["corrected"]["result"] == "FAIL"
+        cmp = section["published_vs_oracle"] = _compare(reference, oracle_poly, "DIVERGENT")
+        lines.append(f"  whitney vs published: {cmp['result']}")
+    return section, section["corrected"]["result"] == "FAIL", lines
 
 
 def _verify_ffield(
     n: int, polys: dict[str, IntPolynomial], reference: IntPolynomial | None, primes: Sequence[int]
-) -> tuple[dict, bool]:
+) -> _Verdict:
     from .oracle import finite_field_count, interpolate_counts
 
     counts = [(q, finite_field_count(n, q)) for q in primes]
-    rows = [
-        {
-            "q": q,
-            "status": "ran",
-            "count": str(count),
-            "corrected": "PASS" if polys["corrected"](q) == count else "FAIL",
-            "paper": "PASS" if polys["paper"](q) == count else "DIVERGENT",
-        }
-        for q, count in counts
-    ]
+    rows = []
+    lines = []
+    for q, count in counts:
+        corrected = "PASS" if polys["corrected"](q) == count else "FAIL"
+        paper = "PASS" if polys["paper"](q) == count else "DIVERGENT"
+        rows.append(
+            {"q": q, "status": "ran", "count": str(count), "corrected": corrected, "paper": paper}
+        )
+        lines.append(f"  ffield q={q}: count={count} corrected={corrected} paper={paper}")
     failed = any(row["corrected"] == "FAIL" for row in rows)
     section = {"status": "ran", "primes": rows, "failed": failed}
     # with n+1 or more sampled primes the whole polynomial is determined:
@@ -279,26 +274,30 @@ def _verify_ffield(
         try:
             interp = interpolate_counts(counts, n)
         except ValueError as exc:
-            section["interpolation"] = {"result": "FAIL", "reason": str(exc)}
+            result = section["interpolation"] = {"result": "FAIL", "reason": str(exc)}
+            lines.append(f"  ffield interpolation: FAIL ({exc})")
         else:
-            section["interpolation"] = {
+            result = section["interpolation"] = {
                 "result": "PASS" if interp == polys["corrected"] else "FAIL",
                 "coeffs": _str_coeffs(interp),
                 "paper": "PASS" if interp == polys["paper"] else "DIVERGENT",
             }
-        failed = section["failed"] = failed or section["interpolation"]["result"] == "FAIL"
-    return section, failed
+            lines.append(
+                f"  ffield interpolation: corrected={result['result']} paper={result['paper']}"
+            )
+        failed = section["failed"] = failed or result["result"] == "FAIL"
+    return section, failed, lines
 
 
 def _verify_graphs(
     n: int, polys: dict[str, IntPolynomial], reference: IntPolynomial | None, primes: Sequence[int]
-) -> tuple[dict, bool]:
+) -> _Verdict:
     if n > graphcounts.GRAPH_CENSUS_LIMIT:
-        return {
-            "status": "skipped",
-            "reason": "graph census enumerates all 2^C(n,2) graphs and is guarded at "
+        return _skipped(
+            "graphs",
+            "graph census enumerates all 2^C(n,2) graphs and is guarded at "
             f"n <= {graphcounts.GRAPH_CENSUS_LIMIT}",
-        }, False
+        )
     from .oracle import enumerate_graphs
 
     census = enumerate_graphs(n)
@@ -315,58 +314,11 @@ def _verify_graphs(
         formula = {k: v for (m, k), v in table.items() if m == n}
         checks.append({"name": name, "result": "PASS" if formula == brute else "FAIL"})
     failed = any(c["result"] == "FAIL" for c in checks)
-    return {"status": "ran", "checks": checks, "failed": failed}, failed
+    lines = [f"  graphs {c['name']}: {c['result']}" for c in checks]
+    return {"status": "ran", "checks": checks, "failed": failed}, failed, lines
 
 
 _VERIFIERS = {"whitney": _verify_whitney, "ffield": _verify_ffield, "graphs": _verify_graphs}
-
-
-def _render_verify_text(
-    report: dict, polys: dict[str, IntPolynomial], reference: IntPolynomial | None
-) -> str:
-    def compared(label: str, cmp: dict, noun: str) -> str:
-        if not cmp["differences"]:
-            return f"  {label}: PASS"
-        first = cmp["differences"][0]
-        return (
-            f"  {label}: {cmp['result']} (first difference at t^{first['power']}: "
-            f"computed {first['computed']}, {noun} {first['published']})"
-        )
-
-    lines = [f"verify n={report['n']} ({report['result']})"]
-    lines.append(f"  corrected: {polys['corrected']}")
-    lines.append(f"  paper:     {polys['paper']}")
-    if reference is not None:
-        lines.append(f"  published: {reference}")
-        for mode in ("corrected", "paper"):
-            lines.append(compared(f"published vs {mode}", report["published"][mode], "published"))
-    for name, section in report["oracles"].items():
-        if section["status"] == "skipped":
-            lines.append(f"  {name}: skipped ({section['reason']})")
-        elif name == "whitney":
-            for mode in ("corrected", "paper"):
-                lines.append(compared(f"whitney vs {mode}", section[mode], "oracle"))
-            if "published_vs_oracle" in section:
-                cmp = section["published_vs_oracle"]
-                lines.append(f"  whitney vs published: {cmp['result']}")
-        elif name == "ffield":
-            for row in section["primes"]:
-                lines.append(
-                    f"  ffield q={row['q']}: count={row['count']} "
-                    f"corrected={row['corrected']} paper={row['paper']}"
-                )
-            interp = section.get("interpolation")
-            if interp is not None and "reason" in interp:
-                lines.append(f"  ffield interpolation: FAIL ({interp['reason']})")
-            elif interp is not None:
-                lines.append(
-                    f"  ffield interpolation: corrected={interp['result']} "
-                    f"paper={interp['paper']}"
-                )
-        else:
-            for check in section["checks"]:
-                lines.append(f"  graphs {check['name']}: {check['result']}")
-    return "\n".join(lines)
 
 
 def _cmd_verify(args: argparse.Namespace) -> Outcome:
@@ -415,20 +367,25 @@ def _cmd_verify(args: argparse.Namespace) -> Outcome:
         "workers": args.workers,
         "polynomials": {mode: _str_coeffs(poly) for mode, poly in polys.items()},
     }
+    lines = [f"  corrected: {polys['corrected']}", f"  paper:     {polys['paper']}"]
     if reference is not None:
         report["published"] = {"coeffs": _str_coeffs(reference)}
+        lines.append(f"  published: {reference}")
         for mode, poly in polys.items():
             report["published"][mode] = _compare(poly, reference, "DIVERGENT")
+            lines.append(_compared(f"published vs {mode}", report["published"][mode], "published"))
     sections = report["oracles"] = {}
     failed = checked = False  # checked: whether any oracle ran at least one check
     for name in oracle_names:
-        sections[name], section_failed = _VERIFIERS[name](n, polys, reference, primes)
+        sections[name], section_failed, section_lines = _VERIFIERS[name](
+            n, polys, reference, primes
+        )
+        lines += section_lines
         failed = failed or section_failed
         checked = checked or sections[name]["status"] == "ran"
     report["result"] = "FAIL" if failed else "PASS" if checked else "SKIPPED"
-    return int(report["result"] != "PASS"), report, {
-        "text": lambda: _render_verify_text(report, polys, reference)
-    }
+    lines.insert(0, f"verify n={n} ({report['result']})")
+    return int(report["result"] != "PASS"), report, {"text": lambda: "\n".join(lines)}
 
 
 # -- parser ------------------------------------------------------------------

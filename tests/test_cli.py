@@ -396,8 +396,18 @@ class TestFailureExitCodes:
         )
         code, out, _ = run(capsys, "verify", "--n", "2", "--oracles", "whitney")
         assert code == 1
-        assert "(FAIL)" in out
-        assert "whitney vs corrected: FAIL" in out
+        # the whole report: no digest pins a failing one
+        assert out == (
+            "verify n=2 (FAIL)\n"
+            "  corrected: t^2 - 5t + 6\n"
+            "  paper:     t^2 - 5t + 6\n"
+            "  published: t^2 - 5t + 6\n"
+            "  published vs corrected: PASS\n"
+            "  published vs paper: PASS\n"
+            "  whitney vs corrected: FAIL (first difference at t^2: computed 1, oracle 0)\n"
+            "  whitney vs paper: DIVERGENT (first difference at t^2: computed 1, oracle 0)\n"
+            "  whitney vs published: DIVERGENT\n"
+        )
 
     def test_bipartite_mismatch_sets_exit_one(self, capsys, monkeypatch):
         import pairsum.graphcounts as graphcounts_module
@@ -409,7 +419,40 @@ class TestFailureExitCodes:
         )
         code, out, _ = run(capsys, "bipartite", "--to", "2")
         assert code == 1
-        assert "MISMATCH" in out
+        assert out == (
+            "connected labeled bipartite graphs by (order, size)\n"
+            "b(2,1) = 7  [census 1: MISMATCH]\n"
+            "census comparison: FAIL\n"
+        )
+
+    def test_verify_fails_when_a_point_count_disagrees(self, capsys, monkeypatch):
+        # one count off by one: that prime fails, and the four samples no
+        # longer interpolate to integer coefficients
+        import pairsum.oracle as oracle_module
+
+        count = oracle_module.finite_field_count
+        monkeypatch.setattr(
+            oracle_module, "finite_field_count", lambda n, q: count(n, q) + (1 if q == 7 else 0)
+        )
+        code, out, _ = run(
+            capsys, "verify", "--n", "3", "--oracles", "ffield", "--primes", "5,7,11,13"
+        )
+        assert code == 1
+        # the whole report: no digest pins a failing one
+        assert out == (
+            "verify n=3 (FAIL)\n"
+            "  corrected: t^3 - 9t^2 + 27t - 27\n"
+            "  paper:     t^3 - 9t^2 + 27t - 27\n"
+            "  published: t^3 - 9t^2 + 27t - 27\n"
+            "  published vs corrected: PASS\n"
+            "  published vs paper: PASS\n"
+            "  ffield q=5: count=8 corrected=PASS paper=PASS\n"
+            "  ffield q=7: count=65 corrected=FAIL paper=DIVERGENT\n"
+            "  ffield q=11: count=512 corrected=PASS paper=PASS\n"
+            "  ffield q=13: count=1000 corrected=PASS paper=PASS\n"
+            "  ffield interpolation: FAIL "
+            "(samples do not interpolate to integer coefficients)\n"
+        )
 
     def test_closed_stdout_exits_one_without_traceback(self):
         # table --to 60 writes about 91 KB, more than a pipe holds, so its

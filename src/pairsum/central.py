@@ -48,13 +48,13 @@ order 5 on (a triangle plus a disjoint edge).
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from math import comb
 from typing import Tuple
 
 from . import labeled
 from .graphcounts import (
     ConsistencyError,
-    CountTable,
     connected_bipartite_table,
     connected_table,
     one_plus_y_power,
@@ -144,7 +144,7 @@ def signed_gamma_product(
     return {(m, v): s for m, entry in enumerate(series) for (_, v), s in entry.items()}
 
 
-def whitney_numbers(n: int, mode: Mode = Mode.CORRECTED) -> CountTable:
+def whitney_numbers(n: int, mode: Mode = Mode.CORRECTED) -> Counter:
     """Central wall subsets on [n] by (rank m - v, cardinality c): each graph
     of Gamma on m vertices is planted into [n] in C(n, m) ways.
 
@@ -154,14 +154,14 @@ def whitney_numbers(n: int, mode: Mode = Mode.CORRECTED) -> CountTable:
     """
     corrected = Mode(mode) is Mode.CORRECTED
     gamma = gamma_product(n, mode)
-    table: dict[Tuple[int, int], int] = {}
+    table: Counter = Counter()
     for (m, c, v), count in gamma.items():
         r = m - v
         if count < 0:
             raise ConsistencyError(f"negative central-graph count at {(r, c, v)}")
         if count and c < r and corrected:
             raise ConsistencyError(f"count at rank {r}, cardinality {c} violates c >= r")
-        table[(r, c)] = table.get((r, c), 0) + comb(n, m) * count
+        table[r, c] += comb(n, m) * count
     if gamma.get((0, 0, 0), 0) != 1:
         raise ConsistencyError("the empty graph must be counted exactly once")
-    return CountTable(table)
+    return table

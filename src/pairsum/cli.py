@@ -18,16 +18,21 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Sequence
+from collections import Counter
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import __version__, graphcounts
-from .central import Mode
-from .charpoly import ChamberCounts, IntPolynomial, chambers, chi, chi_table, signs_alternate
+from . import __version__
 
-# The oracles, the published values and json are imported inside the
-# functions that use them, so that a command loads only the code it runs.
+if TYPE_CHECKING:
+    from .charpoly import IntPolynomial
+
+# The pipeline, the oracles, the published values and json are imported
+# inside the functions that use them, so that a command loads only the code
+# it runs and --help loads none of it.
 
 DEFAULT_MAX_N = 12
+# the values of central.Mode, in its order
+_MODES = ("paper", "corrected")
 
 # (exit code, json payload, {format: renderer}) as a command returns it
 Outcome = tuple[int, dict, dict[str, Callable[[], str]]]
@@ -60,7 +65,7 @@ def _check_range(flag: str, value: int, low: int, max_n: int) -> None:
 
 
 def _reject_repeats(flag: str, items: Sequence, noun: str) -> None:
-    repeated = sorted({item for item in items if items.count(item) > 1})
+    repeated = sorted(item for item, count in Counter(items).items() if count > 1)
     if repeated:
         raise UsageError(f"{flag} repeats {', '.join(map(str, repeated))}; list each {noun} once")
 
@@ -77,7 +82,9 @@ def _latex_array(columns: str, header: tuple, rows: list[tuple]) -> str:
 def _cmd_charpoly(args: argparse.Namespace) -> Outcome:
     n = args.n
     _check_range("--n", n, 1, args.max_n)
-    poly = chi(n, Mode(args.mode))
+    from .charpoly import chi
+
+    poly = chi(n, args.mode)
     return 0, {"n": n, "mode": args.mode, "coeffs": _str_coeffs(poly)}, {
         "text": lambda: str(poly),
         "latex": lambda: f"\\[ \\chi_{{{n}}}(t) = {poly.latex()} \\]",
@@ -87,7 +94,9 @@ def _cmd_charpoly(args: argparse.Namespace) -> Outcome:
 def _cmd_chambers(args: argparse.Namespace) -> Outcome:
     n = args.n
     _check_range("--n", n, 1, args.max_n)
-    total, bounded = chambers(n, Mode(args.mode))
+    from .charpoly import chambers
+
+    total, bounded = chambers(n, args.mode)
     payload = {"n": n, "mode": args.mode, "total": str(total), "bounded": str(bounded)}
     return 0, payload, {
         "text": lambda: f"chambers (total): {total}\nrelatively bounded chambers: {bounded}",
@@ -101,9 +110,10 @@ def _cmd_chambers(args: argparse.Namespace) -> Outcome:
 def _cmd_table(args: argparse.Namespace) -> Outcome:
     n_max = args.to
     _check_range("--to", n_max, 2, args.max_n)
+    from .charpoly import ChamberCounts, chi_table, signs_alternate
     from .published import published_chamber_total, published_chi
 
-    polys = chi_table(n_max, Mode(args.mode))
+    polys = chi_table(n_max, args.mode)
     rows = []
     lines = [f"characteristic polynomials, mode={args.mode}, n=2..{n_max}"]
     for n, poly in enumerate(polys, 2):
@@ -169,6 +179,8 @@ def _cmd_table(args: argparse.Namespace) -> Outcome:
 def _cmd_bipartite(args: argparse.Namespace) -> Outcome:
     n_max = args.to
     _check_range("--to", n_max, 1, DEFAULT_MAX_N)
+    from . import graphcounts
+
     table = graphcounts.connected_bipartite_table(n_max)
     census = None
     if n_max <= graphcounts.GRAPH_CENSUS_LIMIT:
@@ -292,6 +304,8 @@ def _verify_ffield(
 def _verify_graphs(
     n: int, polys: dict[str, IntPolynomial], reference: IntPolynomial | None, primes: Sequence[int]
 ) -> _Verdict:
+    from . import graphcounts
+
     if n > graphcounts.GRAPH_CENSUS_LIMIT:
         return _skipped(
             "graphs",
@@ -358,9 +372,10 @@ def _cmd_verify(args: argparse.Namespace) -> Outcome:
             )
     else:
         primes = default_verification_primes(n)
+    from .charpoly import chi
     from .published import published_chi
 
-    polys = {"corrected": chi(n, Mode.CORRECTED), "paper": chi(n, Mode.PAPER)}
+    polys = {mode: chi(n, mode) for mode in ("corrected", "paper")}
     reference = published_chi(n)
     report: dict = {
         "n": n,
@@ -407,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument(size, type=int, required=True)
         if mode:
-            p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.CORRECTED.value)
+            p.add_argument("--mode", choices=_MODES, default="corrected")
         p.add_argument("--format", choices=formats, default="text")
         if max_n:
             p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,

@@ -17,8 +17,9 @@ and :mod:`fractions`, so the integer tables load neither.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb, factorial
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Tuple
+from typing import TYPE_CHECKING, Callable
 
 from . import labeled
 from .labeled import Labeled, Poly
@@ -34,50 +35,6 @@ GRAPH_CENSUS_LIMIT = 6
 
 class ConsistencyError(RuntimeError):
     """An exact internal invariant failed (non-integer or negative count)."""
-
-
-class CountTable:
-    """Exact non-negative integer counts indexed by small integer tuples.
-
-    Absent keys count zero.  Zero entries are not stored.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Mapping[Tuple[int, ...], int] = ()):
-        stored: dict[Tuple[int, ...], int] = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        for key, value in items:
-            key = tuple(int(part) for part in key)
-            value = int(value)
-            if value < 0:
-                raise ConsistencyError(f"negative count {value} at {key}")
-            if value:
-                stored[key] = value
-        self._entries = stored
-
-    def __getitem__(self, key) -> int:
-        if isinstance(key, int):
-            key = (key,)
-        return self._entries.get(tuple(key), 0)
-
-    def items(self) -> Iterable[tuple[Tuple[int, ...], int]]:
-        return self._entries.items()
-
-    def keys(self):
-        return self._entries.keys()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CountTable):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {v}" for k, v in sorted(self._entries.items()))
-        return f"CountTable({{{body}}})"
 
 
 def default_caps(n: int) -> TruncationCaps:
@@ -204,11 +161,19 @@ def _egf(caps: TruncationCaps, build: Callable[[int], Labeled]) -> TruncatedSeri
     )
 
 
-def count_table(table: Labeled) -> CountTable:
-    """An integer labeled-count table as a CountTable keyed (order, size)."""
-    return CountTable(
+def count_table(table: Labeled) -> Counter:
+    """An integer labeled-count table as a Counter keyed (order, size).
+
+    A graph count cannot be negative, so a negative entry means the table is
+    wrong and raises ConsistencyError.
+    """
+    counts = Counter(
         {(m, k): count for m, entry in enumerate(table) for (k, _), count in entry.items()}
     )
+    for key, count in counts.items():
+        if count < 0:
+            raise ConsistencyError(f"negative count {count} at {key}")
+    return counts
 
 
 def bicolored_series(caps: TruncationCaps) -> TruncatedSeries:
@@ -231,8 +196,8 @@ def bipartite_no_isolated_series(caps: TruncationCaps) -> TruncatedSeries:
     return _egf(caps, bipartite_no_isolated_table)
 
 
-def connected_graph_counts(caps: TruncationCaps) -> CountTable:
+def connected_graph_counts(caps: TruncationCaps) -> Counter:
     """Number of connected labeled graphs, keyed (order, size)."""
     _require_no_z(caps)
     table = count_table(connected_table(caps.dx))
-    return CountTable({key: count for key, count in table.items() if key[1] <= caps.dy})
+    return Counter({key: count for key, count in table.items() if key[1] <= caps.dy})

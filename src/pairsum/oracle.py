@@ -32,13 +32,14 @@ the matrix augmented with the constants.  No floating point anywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import islice
 from math import comb, gcd
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .charpoly import IntPolynomial
-from .graphcounts import GRAPH_CENSUS_LIMIT, CountTable
+from .graphcounts import GRAPH_CENSUS_LIMIT
 
 # The largest n the subset census runs at by default (the graph census's,
 # GRAPH_CENSUS_LIMIT, is in graphcounts).
@@ -149,7 +150,7 @@ def _guard(n: int, limit: int, what: str) -> None:
         )
 
 
-def central_census(n: int, *, limit: int = SUBSET_SCAN_LIMIT) -> CountTable:
+def central_census(n: int, *, limit: int = SUBSET_SCAN_LIMIT) -> Counter:
     """Number of central wall subsets by (rank, cardinality).
 
     A central subset holds at most one pin (x_v = 0 or x_v = 1) per vertex.
@@ -164,7 +165,7 @@ def central_census(n: int, *, limit: int = SUBSET_SCAN_LIMIT) -> CountTable:
     """
     _guard(n, limit, "central_census")
     pairs = [_wall(n, {u, v}, 1) for v in range(n) for u in range(v)]
-    totals: dict[tuple[int, int], int] = {}
+    totals: Counter = Counter()
     for zeros in range(n + 1):
         for ones in range(min(zeros, n - zeros) + 1):
             pins: State = ()
@@ -173,9 +174,8 @@ def central_census(n: int, *, limit: int = SUBSET_SCAN_LIMIT) -> CountTable:
             weight = comb(n, zeros) * comb(n - zeros, ones) * (1 + (zeros != ones))
             for state, sizes in _forward_pass({pins: {0: 1}}, pairs, _insert).items():
                 for size, count in sizes.items():
-                    key = (len(state), size + zeros + ones)
-                    totals[key] = totals.get(key, 0) + weight * count
-    return CountTable(totals)
+                    totals[len(state), size + zeros + ones] += weight * count
+    return totals
 
 
 def whitney_chi(n: int, *, limit: int = SUBSET_SCAN_LIMIT) -> IntPolynomial:
@@ -331,10 +331,7 @@ class GraphCensus(NamedTuple):
     """
 
     order: int
-    entries: CountTable
-
-    def total(self) -> int:
-        return sum(v for _, v in self.entries.items())
+    entries: Counter
 
     def _by_size(self, keep) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -354,10 +351,6 @@ class GraphCensus(NamedTuple):
 
     def bipartite_no_isolated_by_size(self) -> dict[int, int]:
         return self._by_size(lambda comps, bip, iso: bip == comps and iso == 0)
-
-    def all_components_nonbipartite_by_size(self) -> dict[int, int]:
-        # an isolated vertex is itself a bipartite component, so iso == 0 follows
-        return self._by_size(lambda comps, bip, iso: bip == 0)
 
 
 def _join_edge(code: Tuple[int, ...], edge: tuple[int, int]) -> Tuple[int, ...]:
@@ -426,13 +419,12 @@ def enumerate_graphs(n: int, *, limit: int = GRAPH_CENSUS_LIMIT) -> GraphCensus:
             for size, count in sizes.items():
                 into[size] = into.get(size, 0) + count
         states = merged
-    counts: dict[tuple[int, int, int, int], int] = {}
+    counts: Counter = Counter()
     for code, sizes in states.items():
         firsts = [c // 3 for c in code]
         comps = sum(f == v for v, f in enumerate(firsts))
         bip = sum(c == 3 * v for v, c in enumerate(code))
         iso = sum(firsts.count(v) == 1 for v in range(n))
         for size, count in sizes.items():
-            key = (size, comps, bip, iso)
-            counts[key] = counts.get(key, 0) + count
-    return GraphCensus(order=n, entries=CountTable(counts))
+            counts[size, comps, bip, iso] += count
+    return GraphCensus(order=n, entries=counts)

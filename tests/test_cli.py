@@ -246,14 +246,14 @@ class TestVerify:
 
     @pytest.fixture
     def no_work(self, monkeypatch):
-        import pairsum.cli as cli_module
+        import pairsum.charpoly as charpoly_module
         import pairsum.oracle as oracle_module
 
         def no_work(*args, **kwargs):
             raise AssertionError("verify started work before rejecting --primes")
 
         monkeypatch.setattr(oracle_module, "finite_field_count", no_work)
-        monkeypatch.setattr(cli_module, "chi", no_work)
+        monkeypatch.setattr(charpoly_module, "chi", no_work)
 
     def test_repeated_prime_is_usage_error(self, capsys, no_work):
         code, out, err = run(
@@ -262,6 +262,15 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "--primes repeats 5" in err
+
+    def test_repeat_in_a_long_prime_list_is_usage_error(self, capsys, no_work):
+        # 20,000 items, about as many as one 128 KiB argument holds: the
+        # repeats are counted in one pass, not one list scan per item
+        primes = ",".join(map(str, [*range(10000, 29999), 10000]))
+        code, out, err = run(capsys, "verify", "--n", "1", "--primes", primes)
+        assert code == 2
+        assert out == ""
+        assert "--primes repeats 10000; list each prime once" in err
 
     @pytest.mark.parametrize(
         "oracles, repeated",
@@ -509,6 +518,13 @@ class TestParser:
         assert f"--max-n must be at least {low}" in err
         assert "between" not in err
 
+    def test_mode_choices_are_the_mode_values(self):
+        # the parser names the modes without importing the pipeline
+        from pairsum.central import Mode
+        from pairsum.cli import _MODES
+
+        assert list(_MODES) == [m.value for m in Mode]
+
 
 @pytest.mark.parametrize(
     "argv, digest",
@@ -581,11 +597,13 @@ def test_commands_without_oracles_load_no_numpy_or_process_pool():
 _LAZY_IMPORT_SCRIPT = """
 import contextlib, io, json, sys
 from pairsum import cli
+pipeline = ("pairsum.central", "pairsum.charpoly", "pairsum.graphcounts", "pairsum.labeled")
+loaded_by_import = [name for name in pipeline if name in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["bipartite", "--to", "12"]) == 0
+loaded_by_bipartite = [name for name in pipeline[:2] if name in sys.modules]
 unused = ("pairsum.oracle", "pairsum.series", "dataclasses", "fractions", "decimal", "numbers")
-for argv in (
-    ["charpoly", "--n", "6"], ["chambers", "--n", "6"],
-    ["table", "--to", "12"], ["bipartite", "--to", "12"],
-):
+for argv in (["charpoly", "--n", "6"], ["chambers", "--n", "6"], ["table", "--to", "12"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 loaded = [name for name in unused if name in sys.modules]
@@ -601,6 +619,8 @@ try:
 except AttributeError as exc:
     missing = str(exc)
 print(json.dumps({
+    "loaded_by_import": loaded_by_import,
+    "loaded_by_bipartite": loaded_by_bipartite,
     "loaded": loaded,
     "verify_codes": verify_codes,
     "loaded_after_verify": loaded_after_verify,
@@ -619,6 +639,10 @@ def test_commands_import_only_the_modules_they_run():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
+    # the CLI module itself loads no pipeline, so --help and the parser's
+    # usage errors run none of it; bipartite needs the graph tables, not Gamma
+    assert report["loaded_by_import"] == []
+    assert report["loaded_by_bipartite"] == []
     # charpoly, chambers, table and bipartite past the census limit need no
     # oracle, no Fraction series and no dataclass
     assert report["loaded"] == []

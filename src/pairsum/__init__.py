@@ -5,6 +5,8 @@ The generating-function pipeline lives in :mod:`pairsum.central` and
 :mod:`pairsum.charpoly`; independent brute-force oracles in
 :mod:`pairsum.oracle`; previously published reference values in
 :mod:`pairsum.published`; the command-line interface in :mod:`pairsum.cli`.
+Their polynomial type, :mod:`pairsum.polynomial`, imports no other submodule,
+so neither the oracles nor the published values load any pipeline code.
 
 ``import pairsum`` loads none of them.  Each public name below is resolved
 on first access (PEP 562), importing only the submodule that defines it, so
@@ -17,14 +19,17 @@ gamma_product``).
 import importlib
 
 __version__ = "0.1.0"
+# oracle.enumerate_graphs' default guard, here so the CLI reads it without loading the oracles
+GRAPH_CENSUS_LIMIT = 6
 
 _SUBMODULE_NAMES = {
     "central": ("Mode",),
-    "charpoly": ("ChamberCounts", "IntPolynomial", "chambers", "chi", "chi_table"),
+    "charpoly": ("ChamberCounts", "chambers", "chi", "chi_table"),
     "oracle": (
         "central_census", "enumerate_graphs", "finite_field_count",
         "interpolate_counts", "interpolated_chi", "whitney_chi",
     ),
+    "polynomial": ("IntPolynomial",),
 }
 _SUBMODULE_OF = {
     name: module for module, names in _SUBMODULE_NAMES.items() for name in names

@@ -57,6 +57,7 @@ from .graphcounts import (
     ConsistencyError,
     connected_bipartite_table,
     connected_table,
+    no_isolated,
     one_plus_y_power,
     without_single_vertex,
     y_power,
@@ -94,7 +95,7 @@ def _components(
     bipartite = without_single_vertex(cb)
     type0 = [{(c, 1): count for (c, _), count in entry.items()} for entry in bipartite]
     if paper:
-        g1 = labeled.difference(labeled.exp(without_single_vertex(conn)), labeled.exp(bipartite))
+        g1 = labeled.difference(no_isolated(conn), no_isolated(cb))
         g1[0] = dict(labeled.ONE)
         type1 = labeled.log(g1)
     else:

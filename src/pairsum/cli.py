@@ -21,10 +21,10 @@ import sys
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import __version__
+from . import GRAPH_CENSUS_LIMIT, __version__
 
 if TYPE_CHECKING:
-    from .charpoly import IntPolynomial
+    from .polynomial import IntPolynomial
 
 # The pipeline, the oracles, the published values and json are imported
 # inside the functions that use them, so that a command loads only the code
@@ -183,7 +183,7 @@ def _cmd_bipartite(args: argparse.Namespace) -> Outcome:
 
     table = graphcounts.connected_bipartite_table(n_max)
     census = None
-    if n_max <= graphcounts.GRAPH_CENSUS_LIMIT:
+    if n_max <= GRAPH_CENSUS_LIMIT:
         from .oracle import enumerate_graphs
 
         census = {n: enumerate_graphs(n).connected_bipartite_by_size() for n in range(1, n_max + 1)}
@@ -304,28 +304,27 @@ def _verify_ffield(
 def _verify_graphs(
     n: int, polys: dict[str, IntPolynomial], reference: IntPolynomial | None, primes: Sequence[int]
 ) -> _Verdict:
-    from . import graphcounts
-
-    if n > graphcounts.GRAPH_CENSUS_LIMIT:
+    if n > GRAPH_CENSUS_LIMIT:
         return _skipped(
             "graphs",
             "graph census enumerates all 2^C(n,2) graphs and is guarded at "
-            f"n <= {graphcounts.GRAPH_CENSUS_LIMIT}",
+            f"n <= {GRAPH_CENSUS_LIMIT}",
         )
+    from . import graphcounts
     from .oracle import enumerate_graphs
 
     census = enumerate_graphs(n)
+    # the tables and the no-isolated builder that paper mode runs
+    cb, conn = graphcounts.connected_bipartite_table(n), graphcounts.connected_table(n)
     checks = []
-    for name, build, brute in (
-        ("connected_bipartite", graphcounts.connected_bipartite_table,
-         census.connected_bipartite_by_size()),
-        ("connected", graphcounts.connected_table, census.connected_by_size()),
-        ("no_isolated", graphcounts.no_isolated_table, census.no_isolated_by_size()),
-        ("bipartite_no_isolated", graphcounts.bipartite_no_isolated_table,
+    for name, table, brute in (
+        ("connected_bipartite", cb, census.connected_bipartite_by_size()),
+        ("connected", conn, census.connected_by_size()),
+        ("no_isolated", graphcounts.no_isolated(conn), census.no_isolated_by_size()),
+        ("bipartite_no_isolated", graphcounts.no_isolated(cb),
          census.bipartite_no_isolated_by_size()),
     ):
-        table = graphcounts.count_table(build(n))
-        formula = {k: v for (m, k), v in table.items() if m == n}
+        formula = {k: v for (m, k), v in graphcounts.count_table(table).items() if m == n}
         checks.append({"name": name, "result": "PASS" if formula == brute else "FAIL"})
     failed = any(c["result"] == "FAIL" for c in checks)
     lines = [f"  graphs {c['name']}: {c['result']}" for c in checks]

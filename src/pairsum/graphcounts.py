@@ -27,12 +27,6 @@ from .labeled import Labeled, Poly
 if TYPE_CHECKING:
     from .series import TruncatedSeries, TruncationCaps
 
-# The largest order oracle.enumerate_graphs classifies by default.  It lives
-# here, next to the tables it checks, so that callers can test it without
-# loading the oracles.
-GRAPH_CENSUS_LIMIT = 6
-
-
 class ConsistencyError(RuntimeError):
     """An exact internal invariant failed (non-integer or negative count)."""
 
@@ -125,20 +119,11 @@ def connected_bipartite_table(n: int, *, signed: bool = False) -> Labeled:
     return half_log(bicolored_table(n, signed=signed))
 
 
-def no_isolated_table(n: int) -> Labeled:
-    """Graphs without isolated vertices: exp(log(all graphs) - x).
-
-    Dropping the x term removes the one-vertex connected graph, so the
-    exponential rebuilds exactly the graphs all of whose components have
-    order at least two.
-    """
-    return labeled.exp(without_single_vertex(connected_table(n)))
-
-
-def bipartite_no_isolated_table(n: int) -> Labeled:
-    """Bipartite graphs (all components bipartite) without isolated vertices:
-    exp(connected bipartite minus the single-vertex term)."""
-    return labeled.exp(without_single_vertex(connected_bipartite_table(n)))
+def no_isolated(connected: Labeled) -> Labeled:
+    """exp(connected - x): the graphs without isolated vertices whose
+    components a connected table counts (all of them from connected_table,
+    the bipartite ones from connected_bipartite_table)."""
+    return labeled.exp(without_single_vertex(connected))
 
 
 # -- series and count-table views at the given caps ---------------------------
@@ -188,12 +173,12 @@ def connected_bipartite_series(caps: TruncationCaps) -> TruncatedSeries:
 
 def graphs_no_isolated_series(caps: TruncationCaps) -> TruncatedSeries:
     """EGF of graphs without isolated vertices: exp(log(all graphs) - x)."""
-    return _egf(caps, no_isolated_table)
+    return _egf(caps, lambda n: no_isolated(connected_table(n)))
 
 
 def bipartite_no_isolated_series(caps: TruncationCaps) -> TruncatedSeries:
     """EGF of bipartite graphs without isolated vertices."""
-    return _egf(caps, bipartite_no_isolated_table)
+    return _egf(caps, lambda n: no_isolated(connected_bipartite_table(n)))
 
 
 def connected_graph_counts(caps: TruncationCaps) -> Counter:

@@ -1,6 +1,7 @@
 """Independent brute-force ground truth at desk scale.
 
-Three oracles, none of which touches the generating-function pipeline:
+Three oracles, none of which touches the generating-function pipeline, not
+even at import: they load only the package root and :mod:`pairsum.polynomial`.
 
 * :func:`whitney_chi` sums (-1)^|B| t^(n-rank B) over every central subset
   of walls, read off :func:`central_census` (exact integer elimination,
@@ -38,11 +39,11 @@ from itertools import islice
 from math import comb, gcd
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from .charpoly import IntPolynomial
-from .graphcounts import GRAPH_CENSUS_LIMIT
+from . import GRAPH_CENSUS_LIMIT
+from .polynomial import IntPolynomial
 
 # The largest n the subset census runs at by default (the graph census's,
-# GRAPH_CENSUS_LIMIT, is in graphcounts).
+# GRAPH_CENSUS_LIMIT, is at the package root).
 SUBSET_SCAN_LIMIT = 5
 # The largest prime a point count accepts, itself a prime, and below the
 # 3,215,031,751 up to which the Miller-Rabin test in _is_prime is exact.

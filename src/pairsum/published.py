@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .charpoly import IntPolynomial
+from .polynomial import IntPolynomial
 
 # ascending powers of t: coeffs[k] multiplies t^k
 _PUBLISHED_CHI: dict[int, tuple[int, ...]] = {

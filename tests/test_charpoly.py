@@ -1,7 +1,11 @@
 """Characteristic polynomial assembly, rendering and chamber counts."""
 
+from fractions import Fraction
+
 import pytest
 
+import pairsum
+from pairsum import polynomial
 from pairsum.central import Mode, whitney_numbers
 from pairsum.charpoly import (
     ChamberCounts,
@@ -40,6 +44,18 @@ class TestIntPolynomial:
 
     def test_coefficient_beyond_degree_is_zero(self):
         assert IntPolynomial([1, 1]).coefficient(5) == 0
+
+    @pytest.mark.parametrize(
+        "coeffs", [[0.5, 1.9], [1.0], ["3"], [Fraction(1, 2)], [Fraction(3)], [2, None]]
+    )
+    def test_non_integer_coefficients_raise(self, coeffs):
+        # no silent truncation: IntPolynomial([0.5, 1.9]) once printed "t"
+        with pytest.raises(TypeError):
+            IntPolynomial(coeffs)
+
+    def test_one_class_under_every_public_name(self):
+        # it lives in the leaf module; charpoly and the package re-export it
+        assert IntPolynomial is polynomial.IntPolynomial is pairsum.IntPolynomial
 
 
 class TestChi:

@@ -1,6 +1,7 @@
 """Brute-force oracles: arrangement construction, exact centrality, subset
 expansion, finite-field counting and the graph census."""
 
+import json
 import subprocess
 import sys
 from collections import deque
@@ -13,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairsum
 from pairsum.charpoly import IntPolynomial, chi
 from pairsum.oracle import (
+    GRAPH_CENSUS_LIMIT,
     MAX_VERIFICATION_PRIME,
     _arrangement_rows,
     _canonical,
@@ -568,12 +571,12 @@ class TestEnumerateGraphs:
 
     def test_order_seven_past_the_guard(self):
         from pairsum.graphcounts import (
-            bipartite_no_isolated_table,
             connected_bipartite_table,
             connected_graph_counts,
+            connected_table,
             count_table,
             default_caps,
-            no_isolated_table,
+            no_isolated,
         )
 
         caps = default_caps(7)
@@ -582,9 +585,9 @@ class TestEnumerateGraphs:
         views = (
             (count_table(connected_bipartite_table(7)), census.connected_bipartite_by_size()),
             (connected_graph_counts(caps), census.connected_by_size()),
-            (count_table(no_isolated_table(7)), census.no_isolated_by_size()),
+            (count_table(no_isolated(connected_table(7))), census.no_isolated_by_size()),
             (
-                count_table(bipartite_no_isolated_table(7)),
+                count_table(no_isolated(connected_bipartite_table(7))),
                 census.bipartite_no_isolated_by_size(),
             ),
         )
@@ -638,3 +641,41 @@ class TestCentralCensus:
         for (rank, size), count in census.items():
             coeffs[7 - rank] += -count if size % 2 else count
         assert IntPolynomial(coeffs) == chi(7)
+
+
+# A fresh interpreter, so that no module loaded by another test counts.
+_INDEPENDENCE_SCRIPT = """
+import contextlib, io, json, sys
+pipeline = ("pairsum.labeled", "pairsum.graphcounts", "pairsum.central", "pairsum.charpoly")
+loaded = {}
+import pairsum.oracle
+loaded["import pairsum.oracle"] = [name for name in pipeline if name in sys.modules]
+import pairsum.published
+loaded["import pairsum.published"] = [name for name in pipeline if name in sys.modules]
+from pairsum import cli
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    code = cli.main(["verify", "--n", "2", "--primes", "4"])
+loaded["verify --primes 4"] = [name for name in pipeline if name in sys.modules]
+print(json.dumps({"loaded": loaded, "code": code, "stderr": err.getvalue()}))
+"""
+
+
+class TestIndependence:
+    def test_the_oracles_load_no_pipeline_module(self):
+        # an oracle checks the pipeline only if it shares none of its code
+        proc = subprocess.run(
+            [sys.executable, "-c", _INDEPENDENCE_SCRIPT],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["loaded"] == {
+            "import pairsum.oracle": [],
+            "import pairsum.published": [],
+            "verify --primes 4": [],
+        }
+        assert report["code"] == 2
+        assert "--primes must list primes" in report["stderr"]
+
+    def test_census_limit_is_the_package_constant(self):
+        assert GRAPH_CENSUS_LIMIT is pairsum.GRAPH_CENSUS_LIMIT

@@ -7,6 +7,8 @@ The generating-function pipeline lives in :mod:`pairsum.central` and
 :mod:`pairsum.published`; the command-line interface in :mod:`pairsum.cli`.
 Their polynomial type, :mod:`pairsum.polynomial`, imports no other submodule,
 so neither the oracles nor the published values load any pipeline code.
+:class:`Mode` is defined here, so the CLI names the modes without loading the
+pipeline, and :mod:`pairsum.central` re-exports it.
 
 ``import pairsum`` loads none of them.  Each public name below is resolved
 on first access (PEP 562), importing only the submodule that defines it, so
@@ -16,14 +18,23 @@ other name is imported from its submodule (``from pairsum.central import
 gamma_product``).
 """
 
+import enum
 import importlib
 
 __version__ = "0.1.0"
 # oracle.enumerate_graphs' default guard, here so the CLI reads it without loading the oracles
 GRAPH_CENSUS_LIMIT = 6
 
+
+class Mode(str, enum.Enum):
+    """Type-1 variant: the log of the published closed form, or the
+    corrected unique-decomposition form (the default everywhere)."""
+
+    PAPER = "paper"
+    CORRECTED = "corrected"
+
+
 _SUBMODULE_NAMES = {
-    "central": ("Mode",),
     "charpoly": ("ChamberCounts", "chambers", "chi", "chi_table"),
     "oracle": (
         "central_census", "enumerate_graphs", "finite_field_count",
@@ -35,7 +46,7 @@ _SUBMODULE_OF = {
     name: module for module, names in _SUBMODULE_NAMES.items() for name in names
 }
 
-__all__ = sorted(["__version__", *_SUBMODULE_OF])
+__all__ = sorted(["Mode", "__version__", *_SUBMODULE_OF])
 
 
 def __getattr__(name: str):

@@ -47,12 +47,11 @@ order 5 on (a triangle plus a disjoint edge).
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from math import comb
 from typing import Tuple
 
-from . import labeled
+from . import Mode, labeled  # Mode re-exported: pairsum.central.Mode
 from .graphcounts import (
     ConsistencyError,
     connected_bipartite_table,
@@ -63,14 +62,6 @@ from .graphcounts import (
     y_power,
 )
 from .labeled import Labeled, Poly
-
-
-class Mode(str, enum.Enum):
-    """Type-1 variant: the log of the published closed form, or the
-    corrected unique-decomposition form (the default everywhere)."""
-
-    PAPER = "paper"
-    CORRECTED = "corrected"
 
 
 def _components(

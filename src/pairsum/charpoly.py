@@ -68,8 +68,6 @@ def _assemble(signed: Mapping[Tuple[int, int], int], n: int) -> IntPolynomial:
 
 def chi(n: int, mode: Mode = Mode.CORRECTED) -> IntPolynomial:
     """Characteristic polynomial of the rank-n arrangement."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     return _assemble(signed_gamma_product(n, mode), n)
 
 

@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import GRAPH_CENSUS_LIMIT, __version__
+from . import GRAPH_CENSUS_LIMIT, Mode, __version__
 
 if TYPE_CHECKING:
     from .polynomial import IntPolynomial
@@ -31,8 +31,6 @@ if TYPE_CHECKING:
 # it runs and --help loads none of it.
 
 DEFAULT_MAX_N = 12
-# the values of central.Mode, in its order
-_MODES = ("paper", "corrected")
 
 # (exit code, json payload, {format: renderer}) as a command returns it
 Outcome = tuple[int, dict, dict[str, Callable[[], str]]]
@@ -421,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument(size, type=int, required=True)
         if mode:
-            p.add_argument("--mode", choices=_MODES, default="corrected")
+            p.add_argument("--mode", choices=[m.value for m in Mode], default="corrected")
         p.add_argument("--format", choices=formats, default="text")
         if max_n:
             p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,

@@ -8,9 +8,10 @@ integer arithmetic: the binomial convolution below is the EGF product, and
 the exponential formula in its labeled-count form (Stanley, *Enumerative
 Combinatorics* Vol. 2, Sec. 5.1)
 
-    H_m = sum_{k=1}^{m} C(m-1, k-1) F_k H_{m-k}      (H = exp F)
+    H_m = F_m + S_m,   S_m = sum_{k=1}^{m-1} C(m-1, k-1) F_k H_{m-k}   (H = exp F)
 
-gives exp directly and, solved for F_m, gives log.  Only the vertex count
+(F_m is the k = m term, as H_0 = 1) is one step, :func:`_step`, which exp
+reads forwards and log solves for F_m = H_m - S_m.  Only the vertex count
 truncates: every entry m < len is exact, whatever its y-degree.
 """
 
@@ -51,7 +52,8 @@ def difference(a: Labeled, b: Labeled) -> Labeled:
 
 
 def product(a: Labeled, b: Labeled) -> Labeled:
-    """EGF product: entry m is sum_k C(m, k) a_k b_{m-k}."""
+    """EGF product: entry m is sum_k C(m, k) a_k b_{m-k}.  No command runs it:
+    it is the reference that the tests compare exp, log and Gamma against."""
     out: Labeled = []
     for m in range(min(len(a), len(b))):
         acc: Poly = {}
@@ -62,17 +64,22 @@ def product(a: Labeled, b: Labeled) -> Labeled:
     return out
 
 
+def _step(f: Labeled, h: Labeled, m: int, known: Poly, sign: int) -> Poly:
+    """known + sign * S_m, with S_m = sum_{k=1}^{m-1} C(m-1, k-1) f_k h_{m-k}."""
+    acc: Poly = dict(known)
+    for k in range(1, m):
+        if f[k] and h[m - k]:
+            _add_product(acc, f[k], h[m - k], sign * comb(m - 1, k - 1))
+    return _nonzero(acc)
+
+
 def exp(f: Labeled) -> Labeled:
     """exp of a series with no vertex-count-0 term."""
     if f and f[0]:
         raise ValueError("exp requires an empty vertex-count-0 entry")
     h: Labeled = [dict(ONE)]
     for m in range(1, len(f)):
-        acc: Poly = {}
-        for k in range(1, m + 1):
-            if f[k] and h[m - k]:
-                _add_product(acc, f[k], h[m - k], comb(m - 1, k - 1))
-        h.append(_nonzero(acc))
+        h.append(_step(f, h, m, f[m], 1))
     return h
 
 
@@ -82,9 +89,5 @@ def log(h: Labeled) -> Labeled:
         raise ValueError("log requires the vertex-count-0 entry to be exactly 1")
     f: Labeled = [{}]
     for m in range(1, len(h)):
-        acc: Poly = dict(h[m])
-        for k in range(1, m):
-            if f[k] and h[m - k]:
-                _add_product(acc, f[k], h[m - k], -comb(m - 1, k - 1))
-        f.append(_nonzero(acc))
+        f.append(_step(f, h, m, h[m], -1))
     return f

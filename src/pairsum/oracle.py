@@ -131,8 +131,8 @@ def _wall(n: int, support: set[int], constant: int) -> Row:
 
 def _arrangement_rows(n: int) -> list[Row]:
     """The walls as augmented rows, vertex by vertex: for each v, x_v = 0,
-    x_v = 1, then x_u + x_v = 1 for every u < v.  A census does not depend on
-    the order, and this one keeps fewer flats alive at each step."""
+    x_v = 1, then x_u + x_v = 1 for every u < v.  No command runs it: it is
+    the reference that the tests compare the census and the point counts against."""
     rows: list[Row] = []
     for v in range(n):
         rows += [_wall(n, {v}, 0), _wall(n, {v}, 1)]
@@ -331,7 +331,6 @@ class GraphCensus(NamedTuple):
     vertices); the usual count families are exposed as by-size views.
     """
 
-    order: int
     entries: Counter
 
     def _by_size(self, keep) -> dict[int, int]:
@@ -428,4 +427,4 @@ def enumerate_graphs(n: int, *, limit: int = GRAPH_CENSUS_LIMIT) -> GraphCensus:
         iso = sum(firsts.count(v) == 1 for v in range(n))
         for size, count in sizes.items():
             counts[size, comps, bip, iso] += count
-    return GraphCensus(order=n, entries=counts)
+    return GraphCensus(entries=counts)

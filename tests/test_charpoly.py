@@ -1,6 +1,7 @@
 """Characteristic polynomial assembly, rendering and chamber counts."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -140,23 +141,47 @@ def stirling2_rows(n_max):
 
 
 def stirling_closed_form(n, rows):
-    """Corrected chi_n(t) = sum_j (S(n,j) + n S(n-1,j)) prod_{i<j} (t-3-2i).
+    """Corrected chi_n(t) = P_3(n) + n P_3(n-1) (:func:`stirling_sum`), that is
+    sum_j (S(n,j) + n S(n-1,j)) prod_{i<j} (t-3-2i).
 
     Substituting y = -1 into the corrected Gamma product makes the signed
     bicolored series 2e^x - 1 and the signed all-graphs series 1 + x, which
     gives n! [x^n] (1+x)(2e^x-1)^((t-3)/2).
     """
-    total = [0] * (n + 1)
-    falling = [1]  # prod_{i<j} (t - 3 - 2i), ascending powers of t
-    for j in range(n + 1):
-        weight = rows[n][j] + (n * rows[n - 1][j] if j <= n - 1 else 0)
+    total = stirling_sum(n, 3, rows)
+    for power, c in enumerate(stirling_sum(n - 1, 3, rows)):
+        total[power] += n * c
+    return IntPolynomial(total)
+
+
+def stirling_sum(m, s, rows):
+    """P_s(m) = sum_j S(m, j) prod_{i<j} (t - s - 2i), ascending powers of t,
+    which is m! [x^m] (2e^x - 1)^((t - s)/2)."""
+    total = [0] * (m + 1)
+    falling = [1]
+    for j in range(m + 1):
         for power, c in enumerate(falling):
-            total[power] += weight * c
-        shift = -3 - 2 * j
-        falling = [
-            (falling[p - 1] if p else 0) + (shift * falling[p] if p < len(falling) else 0)
-            for p in range(len(falling) + 1)
-        ]
+            total[power] += rows[m][j] * c
+        falling = [0, *falling]
+        for power in range(len(falling) - 1):
+            falling[power] -= (s + 2 * j) * falling[power + 1]
+    return total
+
+
+def paper_closed_form(n, rows):
+    """Paper-mode chi_n(t) = P_2(n) + sum_k C(n,k) (-1)^k (1-k) P_2(n-k)
+    - sum_k C(n,k) (-1)^k P_1(n-k), with P_s from :func:`stirling_sum`.
+
+    This is n! [x^n] of [1 + (1+x)e^{-x}] (2e^x-1)^((t-2)/2) - e^{-x} (2e^x-1)^((t-1)/2),
+    the paper's own generating function at y = -1.  So it checks the labeled
+    machinery and the paper branch of the pipeline, not the paper's derivation.
+    """
+    total = stirling_sum(n, 2, rows)
+    for k in range(n + 1):
+        sign = comb(n, k) * (-1) ** k
+        for s, weight in ((2, sign * (1 - k)), (1, -sign)):
+            for power, c in enumerate(stirling_sum(n - k, s, rows)):
+                total[power] += weight * c
     return IntPolynomial(total)
 
 
@@ -165,6 +190,12 @@ class TestClosedForm:
         rows = stirling2_rows(60)
         for n in (*range(1, 21), 60):
             assert chi(n) == stirling_closed_form(n, rows), n
+
+    def test_paper_chi_matches_paper_closed_form(self):
+        # the first check of paper mode independent of the pinned digests
+        rows = stirling2_rows(60)
+        for n in (*range(1, 21), 40, 60):
+            assert chi(n, Mode.PAPER) == paper_closed_form(n, rows), n
 
     def test_closed_form_reproduces_worked_examples(self):
         rows = stirling2_rows(3)

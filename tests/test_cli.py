@@ -519,11 +519,29 @@ class TestParser:
         assert "between" not in err
 
     def test_mode_choices_are_the_mode_values(self):
-        # the parser names the modes without importing the pipeline
-        from pairsum.central import Mode
-        from pairsum.cli import _MODES
+        # every --mode the parser builds offers the values of Mode, in its order;
+        # Mode is defined once, in the package root, and central re-exports it
+        import argparse
 
-        assert list(_MODES) == [m.value for m in Mode]
+        import pairsum
+        from pairsum.central import Mode
+        from pairsum.cli import build_parser
+
+        assert Mode is pairsum.Mode
+
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        choices = {
+            name: action.choices
+            for name, sub in commands.choices.items()
+            for action in sub._actions
+            if "--mode" in action.option_strings
+        }
+        assert sorted(choices) == ["chambers", "charpoly", "table"]
+        for values in choices.values():
+            assert list(values) == [m.value for m in Mode]
 
 
 @pytest.mark.parametrize(

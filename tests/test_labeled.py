@@ -1,6 +1,6 @@
 """Properties of the integer labeled-count series behind every Gamma factor."""
 
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +39,21 @@ fast = settings(max_examples=60, deadline=None, derandomize=True)
 @given(no_constant)
 def test_log_inverts_exp(f):
     assert labeled.log(labeled.exp(f)) == f
+
+
+@fast
+@given(no_constant)
+def test_exp_is_the_sum_of_powers_over_factorials(f):
+    # exp f = sum_k f^k / k!; f^k starts at vertex count k, so k < len(f) suffices
+    total = [{} for _ in f]
+    power = [dict(labeled.ONE)] + [{}] * (len(f) - 1)
+    for k in range(len(f)):
+        for entry, term in zip(total, power):
+            for key, value in term.items():
+                assert value % factorial(k) == 0  # k! orders of the same k blocks
+                entry[key] = entry.get(key, 0) + value // factorial(k)
+        power = labeled.product(power, f)
+    assert labeled.exp(f) == [{key: v for key, v in entry.items() if v} for entry in total]
 
 
 @fast

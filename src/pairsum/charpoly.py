@@ -95,14 +95,5 @@ def signs_alternate(poly: IntPolynomial) -> bool:
     This holds for the characteristic polynomial of any real arrangement
     whose rank equals its dimension, so it is a cheap sanity diagnostic.
     """
-    degree = poly.degree
-    lead = poly.coefficient(degree)
-    if lead == 0:
-        return False
-    expected = 1 if lead > 0 else -1
-    for power in range(degree, -1, -1):
-        c = poly.coefficient(power)
-        if c == 0 or (c > 0) != (expected > 0):
-            return False
-        expected = -expected
-    return True
+    coeffs = poly.coeffs
+    return all(coeffs) and all((a > 0) != (b > 0) for a, b in zip(coeffs, coeffs[1:]))

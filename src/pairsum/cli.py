@@ -79,7 +79,6 @@ def _latex_array(columns: str, header: tuple, rows: list[tuple]) -> str:
 
 def _cmd_charpoly(args: argparse.Namespace) -> Outcome:
     n = args.n
-    _check_range("--n", n, 1, args.max_n)
     from .charpoly import chi
 
     poly = chi(n, args.mode)
@@ -91,7 +90,6 @@ def _cmd_charpoly(args: argparse.Namespace) -> Outcome:
 
 def _cmd_chambers(args: argparse.Namespace) -> Outcome:
     n = args.n
-    _check_range("--n", n, 1, args.max_n)
     from .charpoly import chambers
 
     total, bounded = chambers(n, args.mode)
@@ -107,7 +105,6 @@ def _cmd_chambers(args: argparse.Namespace) -> Outcome:
 
 def _cmd_table(args: argparse.Namespace) -> Outcome:
     n_max = args.to
-    _check_range("--to", n_max, 2, args.max_n)
     from .charpoly import ChamberCounts, chi_table, signs_alternate
     from .published import published_chamber_total, published_chi
 
@@ -176,7 +173,6 @@ def _cmd_table(args: argparse.Namespace) -> Outcome:
 
 def _cmd_bipartite(args: argparse.Namespace) -> Outcome:
     n_max = args.to
-    _check_range("--to", n_max, 1, DEFAULT_MAX_N)
     from . import graphcounts
 
     table = graphcounts.connected_bipartite_table(n_max)
@@ -334,7 +330,6 @@ _VERIFIERS = {"whitney": _verify_whitney, "ffield": _verify_ffield, "graphs": _v
 
 def _cmd_verify(args: argparse.Namespace) -> Outcome:
     n = args.n
-    _check_range("--n", n, 1, args.max_n)
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
     oracle_names = [s.strip() for s in args.oracles.split(",") if s.strip()]
@@ -414,30 +409,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pairsum {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, size, summary, formats=("text", "json", "latex"), mode=True,
+    # main checks each size rule (flag, lowest value, cap) before its command runs
+    def command(name, func, size, low, summary, formats=("text", "json", "latex"), mode=True,
                 max_n=True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func, flag=size, low=low, max_n=DEFAULT_MAX_N)
         p.add_argument(size, type=int, required=True)
         if mode:
             p.add_argument("--mode", choices=[m.value for m in Mode], default="corrected")
         p.add_argument("--format", choices=formats, default="text")
         if max_n:
-            p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+            p.add_argument("--max-n", type=int,
                            help=f"largest accepted n (default {DEFAULT_MAX_N})")
-        p.set_defaults(func=func)
         return p
 
-    command("charpoly", _cmd_charpoly, "--n", "characteristic polynomial for one n")
-    command("chambers", _cmd_chambers, "--n", "chamber counts via Zaslavsky's theorem")
-    command("table", _cmd_table, "--to",
+    command("charpoly", _cmd_charpoly, "--n", 1, "characteristic polynomial for one n")
+    command("chambers", _cmd_chambers, "--n", 1, "chamber counts via Zaslavsky's theorem")
+    command("table", _cmd_table, "--to", 2,
             "polynomials and chambers for n=2..N, diffed against the published list")
-    command("bipartite", _cmd_bipartite, "--to", "connected bipartite graph counts b(n,k)",
+    command("bipartite", _cmd_bipartite, "--to", 1, "connected bipartite graph counts b(n,k)",
             mode=False, max_n=False)
-    p = command("verify", _cmd_verify, "--n",
+    p = command("verify", _cmd_verify, "--n", 1,
                 "cross-check both modes against brute-force oracles",
                 formats=("text", "json"), mode=False)
-    p.add_argument("--oracles", default="whitney,ffield,graphs",
-                   help="comma-separated subset of whitney,ffield,graphs")
+    oracles = ",".join(_VERIFIERS)
+    p.add_argument("--oracles", default=oracles, help=f"comma-separated subset of {oracles}")
     p.add_argument("--primes",
                    help="override the finite-field primes (default: the first max(4, n+1) "
                    "from 5; 23,29,31 at n=5)")
@@ -449,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_range(args.flag, getattr(args, args.flag[2:]), args.low, args.max_n)
         code, payload, renderers = args.func(args)
         if args.format == "json":
             import json

@@ -16,7 +16,6 @@ from pairsum.charpoly import (
     chi_table,
     signs_alternate,
 )
-from pairsum.oracle import _arrangement_rows
 
 
 class TestIntPolynomial:
@@ -109,7 +108,8 @@ class TestChi:
             poly = chi(n)
             assert poly.degree == n
             assert poly.coefficient(n) == 1
-            assert poly.coefficient(n - 1) == -len(_arrangement_rows(n))
+            # one wall x_i + x_j = 1 per pair and two walls x_k = 0, x_k = 1 per coordinate
+            assert poly.coefficient(n - 1) == -(comb(n, 2) + 2 * n)
 
 
 class TestChambers:
@@ -129,6 +129,13 @@ class TestChambers:
             assert total >= bounded >= 0, n
         counts1 = chambers(1)
         assert counts1.total == 3 and counts1.bounded == 1
+
+    def test_is_zaslavsky_reading_of_chi_through_forty(self):
+        # the contract any faster chambers (say, evaluating Gamma at z = +-1)
+        # must keep: the same counts as reading chi_n at -1 and +1
+        for mode in Mode:
+            for n in range(1, 41):
+                assert chambers(n, mode) == ChamberCounts.of(chi(n, mode)), (mode, n)
 
 
 def stirling2_rows(n_max):
@@ -218,6 +225,9 @@ class TestSignsAlternate:
     def test_alternating(self):
         assert signs_alternate(IntPolynomial([6, -5, 1]))
         assert signs_alternate(IntPolynomial([-27, 27, -9, 1]))
+        # a nonzero constant has no adjacent pair to compare
+        assert signs_alternate(IntPolynomial([5]))
+        assert signs_alternate(IntPolynomial([-5]))
 
     def test_not_alternating(self):
         assert not signs_alternate(IntPolynomial([6, 5, 1]))
@@ -225,6 +235,8 @@ class TestSignsAlternate:
 
     def test_zero_coefficient_fails(self):
         assert not signs_alternate(IntPolynomial([1, 0, 1]))
+        assert not signs_alternate(IntPolynomial([0, 1]))
+        assert not signs_alternate(IntPolynomial([]))  # the zero polynomial
 
     def test_published_rows_from_rank_seven_do_not_alternate(self):
         from pairsum.published import published_chi
@@ -233,11 +245,3 @@ class TestSignsAlternate:
             assert not signs_alternate(published_chi(n))
         for n in (2, 3, 4, 5, 6):
             assert signs_alternate(published_chi(n))
-
-
-class TestHyperplaneCount:
-    def test_values(self):
-        assert len(_arrangement_rows(1)) == 2
-        assert len(_arrangement_rows(2)) == 5
-        assert len(_arrangement_rows(3)) == 9
-        assert len(_arrangement_rows(4)) == 14

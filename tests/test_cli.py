@@ -518,6 +518,26 @@ class TestParser:
         assert f"--max-n must be at least {low}" in err
         assert "between" not in err
 
+    @pytest.mark.parametrize(
+        "command, flag, low",
+        [
+            ("charpoly", "--n", 1),
+            ("chambers", "--n", 1),
+            ("table", "--to", 2),
+            ("bipartite", "--to", 1),
+            ("verify", "--n", 1),
+        ],
+    )
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_size_outside_the_rule_is_usage_error(self, capsys, command, flag, low, side):
+        # main checks every command's size rule before the command runs;
+        # bipartite has no --max-n, but the same default cap of 12
+        value = low - 1 if side == "below" else 13
+        code, out, err = run(capsys, command, flag, str(value))
+        assert code == 2
+        assert out == ""
+        assert err == f"pairsum: error: {flag} must be between {low} and 12\n"
+
     def test_mode_choices_are_the_mode_values(self):
         # every --mode the parser builds offers the values of Mode, in its order;
         # Mode is defined once, in the package root, and central re-exports it
@@ -562,10 +582,11 @@ class TestParser:
     ],
 )
 def test_pinned_text_and_latex_output(capsys, argv, digest):
-    # sha256 of the complete stdout of the renderers no other test pins:
-    # latex chamber counts and bipartite arrays, the table's text (published
-    # differences and non-alternating published rows) and latex, and the
-    # verify text report, with skipped oracles and interpolation at n = 7
+    # sha256 of the complete stdout.  The first four argvs print the same
+    # stdout as argvs of bench/digests.json, which test_pinned_outputs.py
+    # checks; what this test adds is the text report of verify, which no
+    # digest pins: at n = 5 with every oracle run, and at n = 7 with the
+    # subset scan skipped and the point counts interpolated
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

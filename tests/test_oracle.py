@@ -171,9 +171,9 @@ def classify_by_search(n):
 
 class TestBuildArrangement:
     def test_counts(self):
-        assert len(_arrangement_rows(1)) == 2
-        assert len(_arrangement_rows(2)) == 5
-        assert len(_arrangement_rows(3)) == 9
+        # C(n, 2) walls x_i + x_j = 1 and 2n walls x_k = 0, x_k = 1: 2, 5, 9, 14, ...
+        for n in range(1, 9):
+            assert len(_arrangement_rows(n)) == comb(n, 2) + 2 * n, n
 
     def test_deterministic_order(self):
         # vertex by vertex: x_v = 0, x_v = 1, then x_u + x_v = 1 for u < v

@@ -40,14 +40,7 @@ class TestCharpoly:
         assert code == 0
         assert out.strip() == "\\[ \\chi_{2}(t) = t^2 - 5t + 6 \\]"
 
-    def test_invalid_n_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "charpoly", "--n", "0")
-        assert code == 2
-        assert "between 1 and" in err
-
     def test_n_beyond_configured_max(self, capsys):
-        code, _, err = run(capsys, "charpoly", "--n", "13")
-        assert code == 2
         code, out, _ = run(capsys, "charpoly", "--n", "5", "--max-n", "5")
         assert code == 0
 
@@ -76,10 +69,6 @@ class TestChambers:
 
 
 class TestTable:
-    def test_rejects_to_one(self, capsys):
-        code, _, err = run(capsys, "table", "--to", "1")
-        assert code == 2
-
     def test_small_table_matches_published_through_three(self, capsys):
         code, out, _ = run(capsys, "table", "--to", "4", "--format", "json")
         assert code == 0
@@ -143,10 +132,6 @@ class TestBipartite:
         payload = json.loads(out)
         assert payload["census_included"] is False
         assert all("census" not in row for row in payload["rows"])
-
-    def test_guard(self, capsys):
-        code, _, err = run(capsys, "bipartite", "--to", "13")
-        assert code == 2
 
 
 class TestVerify:
@@ -221,6 +206,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--n", "3", "--oracles", "psychic")
         assert code == 2
         assert "psychic" in err
+
+    @pytest.mark.parametrize("oracles", [",", " "])
+    def test_oracles_naming_none_is_usage_error(self, capsys, oracles):
+        code, out, err = run(capsys, "verify", "--n", "3", "--oracles", oracles)
+        assert code == 2
+        assert out == ""
+        assert err == "pairsum: error: --oracles must name at least one oracle\n"
+
+    def test_blank_oracle_items_are_dropped(self, capsys):
+        blank = run(capsys, "verify", "--n", "3", "--oracles", " ,whitney")
+        assert blank[0] == 0
+        assert blank == run(capsys, "verify", "--n", "3", "--oracles", "whitney")
 
     def test_deterministic_report(self, capsys):
         _, first, _ = run(capsys, "verify", "--n", "4", "--format", "json")
@@ -592,47 +589,8 @@ def test_pinned_text_and_latex_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Runs in a fresh interpreter, so that no module loaded by another test counts.
-_START_UP_SCRIPT = """
-import contextlib, io, json, sys
-from pairsum import cli
-for argv in (["charpoly", "--n", "6"], ["table", "--to", "6"], ["bipartite", "--to", "6"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
-heavy = ("numpy", "multiprocessing", "concurrent.futures.process", "concurrent.futures.thread")
-loaded = [name for name in heavy if name in sys.modules]
-from pairsum.oracle import finite_field_count
-ffield = finite_field_count(3, 5)
-with contextlib.redirect_stdout(io.StringIO()):
-    verify_codes = [
-        cli.main(["verify", "--n", "3", "--workers", "2"]),
-        cli.main(["verify", "--n", "6", "--oracles", "ffield"]),
-    ]
-print(json.dumps({
-    "loaded": loaded,
-    "ffield": ffield,
-    "verify_codes": verify_codes,
-    "loaded_after_verify": [name for name in heavy if name in sys.modules],
-}))
-"""
-
-
-def test_commands_without_oracles_load_no_numpy_or_process_pool():
-    proc = subprocess.run(
-        [sys.executable, "-c", _START_UP_SCRIPT],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["loaded"] == []
-    assert report["ffield"] == 8
-    # the oracles, the point count included, run serially in pure Python:
-    # neither numpy nor a thread or process pool is ever loaded
-    assert report["verify_codes"] == [0, 0]
-    assert report["loaded_after_verify"] == []
-
-
-# Also a fresh interpreter: each command should import only the modules it runs.
+# A fresh interpreter, so that no module loaded by another test counts: each
+# command should import only the modules it runs.
 _LAZY_IMPORT_SCRIPT = """
 import contextlib, io, json, sys
 from pairsum import cli
@@ -641,14 +599,19 @@ loaded_by_import = [name for name in pipeline if name in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["bipartite", "--to", "12"]) == 0
 loaded_by_bipartite = [name for name in pipeline[:2] if name in sys.modules]
-unused = ("pairsum.oracle", "pairsum.series", "dataclasses", "fractions", "decimal", "numbers")
+unused = ("pairsum.oracle", "pairsum.series", "dataclasses", "fractions", "decimal", "numbers",
+          "numpy", "multiprocessing", "concurrent.futures.process", "concurrent.futures.thread")
 for argv in (["charpoly", "--n", "6"], ["chambers", "--n", "6"], ["table", "--to", "12"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 loaded = [name for name in unused if name in sys.modules]
+from pairsum.oracle import finite_field_count
+ffield = finite_field_count(3, 5)
 with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["bipartite", "--to", "6"]) == 0
     # n = 5 counts at three primes; n = 6 at seven, which interpolate
-    verify_codes = [cli.main(["verify", "--n", "5"]), cli.main(["verify", "--n", "6"])]
+    verify_codes = [cli.main(["verify", "--n", *rest.split()])
+                    for rest in ("5", "6", "3 --workers 2", "6 --oracles ffield")]
 loaded_after_verify = [name for name in unused if name in sys.modules]
 import pairsum
 from pairsum import oracle
@@ -661,6 +624,7 @@ print(json.dumps({
     "loaded_by_import": loaded_by_import,
     "loaded_by_bipartite": loaded_by_bipartite,
     "loaded": loaded,
+    "ffield": ffield,
     "verify_codes": verify_codes,
     "loaded_after_verify": loaded_after_verify,
     "unresolved": [name for name in pairsum.__all__ if getattr(pairsum, name, None) is None],
@@ -683,12 +647,13 @@ def test_commands_import_only_the_modules_they_run():
     assert report["loaded_by_import"] == []
     assert report["loaded_by_bipartite"] == []
     # charpoly, chambers, table and bipartite past the census limit need no
-    # oracle, no Fraction series and no dataclass
+    # oracle, Fraction series, dataclass, numpy or thread or process pool
     assert report["loaded"] == []
-    assert report["verify_codes"] == [0, 0]
-    # verify loads the oracles but still neither the series layer nor
-    # dataclasses, and its interpolation works in integers: no fractions,
-    # and so no decimal or numbers either
+    assert report["ffield"] == 8
+    assert report["verify_codes"] == [0, 0, 0, 0]
+    # verify and the census of bipartite load the oracles, but they run
+    # serially in plain integers whatever --workers says: no series layer,
+    # dataclass, fractions (so no decimal or numbers), numpy or pool
     assert report["loaded_after_verify"] == ["pairsum.oracle"]
     # the lazily resolved package keeps its whole public surface
     assert report["unresolved"] == []

@@ -16,6 +16,14 @@ from hypothesis import strategies as st
 
 import pairsum
 from pairsum.charpoly import IntPolynomial, chi
+from pairsum.graphcounts import (
+    connected_bipartite_table,
+    connected_graph_counts,
+    connected_table,
+    count_table,
+    default_caps,
+    no_isolated,
+)
 from pairsum.oracle import (
     GRAPH_CENSUS_LIMIT,
     MAX_VERIFICATION_PRIME,
@@ -414,16 +422,6 @@ class TestFiniteFieldCount:
 
 
 class TestInterpolation:
-    def test_importing_the_oracles_loads_no_fractions(self):
-        # the oracles, interpolation included, work in plain integers
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, pairsum.oracle; "
-             "print([m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules])"],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
-
     def test_interpolate_counts_recovers_polynomial(self):
         poly = IntPolynomial([165, -181, 75, -14, 1])
         points = [(q, poly(q)) for q in (5, 7, 11, 13, 17)]
@@ -569,30 +567,22 @@ class TestEnumerateGraphs:
         with pytest.raises(ValueError):
             enumerate_graphs(0)
 
-    def test_order_seven_past_the_guard(self):
-        from pairsum.graphcounts import (
-            connected_bipartite_table,
-            connected_graph_counts,
-            connected_table,
-            count_table,
-            default_caps,
-            no_isolated,
-        )
-
-        caps = default_caps(7)
-        census = enumerate_graphs(7, limit=7)
-        assert sum(census.entries.values()) == 2**21
-        views = (
-            (count_table(connected_bipartite_table(7)), census.connected_bipartite_by_size()),
-            (connected_graph_counts(caps), census.connected_by_size()),
-            (count_table(no_isolated(connected_table(7))), census.no_isolated_by_size()),
-            (
-                count_table(no_isolated(connected_bipartite_table(7))),
-                census.bipartite_no_isolated_by_size(),
-            ),
-        )
-        for table, brute in views:
-            assert {k: v for (m, k), v in table.items() if m == 7} == brute
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_families_match_the_tables(self, n):
+        # one census per order checks every count of the four graph tables,
+        # order 7 past the guard included; connected graphs go through the
+        # series view, so that view keeps a check of its own
+        census = enumerate_graphs(n, limit=7)
+        assert sum(census.entries.values()) == 2 ** comb(n, 2)
+        families = {
+            "connected_bipartite": count_table(connected_bipartite_table(n)),
+            "connected": connected_graph_counts(default_caps(n)),
+            "no_isolated": count_table(no_isolated(connected_table(n))),
+            "bipartite_no_isolated": count_table(no_isolated(connected_bipartite_table(n))),
+        }
+        for family, table in families.items():
+            view = getattr(census, f"{family}_by_size")()
+            assert {k: v for (m, k), v in table.items() if m == n} == view, family
 
 
 class TestCentralCensus:
@@ -646,23 +636,26 @@ class TestCentralCensus:
 # A fresh interpreter, so that no module loaded by another test counts.
 _INDEPENDENCE_SCRIPT = """
 import contextlib, io, json, sys
-pipeline = ("pairsum.labeled", "pairsum.graphcounts", "pairsum.central", "pairsum.charpoly")
+watched = ("pairsum.labeled", "pairsum.graphcounts", "pairsum.central", "pairsum.charpoly",
+           "fractions", "decimal", "numbers")
 loaded = {}
 import pairsum.oracle
-loaded["import pairsum.oracle"] = [name for name in pipeline if name in sys.modules]
+loaded["import pairsum.oracle"] = [name for name in watched if name in sys.modules]
 import pairsum.published
-loaded["import pairsum.published"] = [name for name in pipeline if name in sys.modules]
+loaded["import pairsum.published"] = [name for name in watched if name in sys.modules]
 from pairsum import cli
 with contextlib.redirect_stderr(io.StringIO()) as err:
     code = cli.main(["verify", "--n", "2", "--primes", "4"])
-loaded["verify --primes 4"] = [name for name in pipeline if name in sys.modules]
+loaded["verify --primes 4"] = [name for name in watched if name in sys.modules]
 print(json.dumps({"loaded": loaded, "code": code, "stderr": err.getvalue()}))
 """
 
 
 class TestIndependence:
     def test_the_oracles_load_no_pipeline_module(self):
-        # an oracle checks the pipeline only if it shares none of its code
+        # an oracle checks the pipeline only if it shares none of its code;
+        # the oracles, interpolation included, work in plain integers, so
+        # neither fractions nor decimal or numbers is loaded either
         proc = subprocess.run(
             [sys.executable, "-c", _INDEPENDENCE_SCRIPT],
             capture_output=True, text=True, timeout=60,

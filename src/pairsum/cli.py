@@ -6,8 +6,9 @@ Output formats are text (default), json (machine-readable, all big integers
 as decimal strings so any consumer can parse them losslessly) and latex
 (ready-to-paste display-math lines).  Exit codes: 0 success, 1 verification
 failure, a ``verify`` in which every requested check was skipped, or a
-stdout closed by its reader, 2 usage error.  Given the same arguments and
-format the output is byte-for-byte deterministic.
+stdout that is closed (quietly) or cannot be written (with one ``pairsum:
+error:`` line), 2 usage error.  Given the same arguments and format the
+output is byte-for-byte deterministic.
 
 Each command returns its exit code, its json payload and a renderer for
 each other format it supports; :func:`main` writes the one format asked for.
@@ -178,9 +179,10 @@ def _cmd_bipartite(args: argparse.Namespace) -> Outcome:
     table = graphcounts.connected_bipartite_table(n_max)
     census = None
     if n_max <= GRAPH_CENSUS_LIMIT:
-        from .oracle import enumerate_graphs
+        from .oracle import enumerate_graphs, family_by_size
 
-        census = {n: enumerate_graphs(n).connected_bipartite_by_size() for n in range(1, n_max + 1)}
+        census = {n: family_by_size(enumerate_graphs(n), "connected_bipartite")
+                  for n in range(1, n_max + 1)}
     rows = []
     lines = ["connected labeled bipartite graphs by (order, size)"]
     mismatch = False
@@ -305,20 +307,20 @@ def _verify_graphs(
             f"n <= {GRAPH_CENSUS_LIMIT}",
         )
     from . import graphcounts
-    from .oracle import enumerate_graphs
+    from .oracle import enumerate_graphs, family_by_size
 
     census = enumerate_graphs(n)
-    # the tables and the no-isolated builder that paper mode runs
+    # the tables and the no-isolated builder that paper mode runs, by census family
     cb, conn = graphcounts.connected_bipartite_table(n), graphcounts.connected_table(n)
     checks = []
-    for name, table, brute in (
-        ("connected_bipartite", cb, census.connected_bipartite_by_size()),
-        ("connected", conn, census.connected_by_size()),
-        ("no_isolated", graphcounts.no_isolated(conn), census.no_isolated_by_size()),
-        ("bipartite_no_isolated", graphcounts.no_isolated(cb),
-         census.bipartite_no_isolated_by_size()),
+    for name, table in (
+        ("connected_bipartite", cb),
+        ("connected", conn),
+        ("no_isolated", graphcounts.no_isolated(conn)),
+        ("bipartite_no_isolated", graphcounts.no_isolated(cb)),
     ):
         formula = {k: v for (m, k), v in graphcounts.count_table(table).items() if m == n}
+        brute = family_by_size(census, name)
         checks.append({"name": name, "result": "PASS" if formula == brute else "FAIL"})
     failed = any(c["result"] == "FAIL" for c in checks)
     lines = [f"  graphs {c['name']}: {c['result']}" for c in checks]
@@ -453,15 +455,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             text = json.dumps(payload, separators=(",", ":"))
         else:
             text = renderers[args.format]()
-        sys.stdout.write(text + "\n")
-        sys.stdout.flush()
-        return code
     except UsageError as exc:
         print(f"pairsum: error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader closed stdout: send what is left to devnull, so that
-        # the interpreter's final flush cannot raise again
+    if sys.stdout is None:  # started with stdout closed: nothing to write to
+        return 1
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe is the reader's choice
+            print(f"pairsum: error: cannot write output: {exc}", file=sys.stderr)
+        # send what is left to devnull, so that the interpreter's final flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 

@@ -13,7 +13,8 @@ even at import: they load only the package root and :mod:`pairsum.polynomial`.
   per prime; :func:`interpolated_chi` rebuilds chi_n from n + 1 such counts;
 * :func:`enumerate_graphs` classifies every labeled graph on up to six
   vertices by size, components, bipartite components and isolated vertices
-  (one join per edge and state; 24 states at n = 6).
+  (one join per edge and state; 24 states at n = 6); :func:`family_by_size`
+  reads one of the :data:`GRAPH_FAMILIES` off it.
 
 The subset census and the graph census are forward passes: they add one wall
 (or one edge) at a time, vertex by vertex, to every state reached so far,
@@ -37,7 +38,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import islice
 from math import comb, gcd
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 from . import GRAPH_CENSUS_LIMIT
 from .polynomial import IntPolynomial
@@ -324,33 +325,24 @@ def interpolated_chi(n: int, primes: Sequence[int]) -> IntPolynomial:
 # -- exhaustive graph census -------------------------------------------------
 
 
-class GraphCensus(NamedTuple):
-    """Classification of every labeled graph on a fixed vertex set.
+# The census families, each by the test that a graph's (components, bipartite
+# components, isolated vertices) passes; verify prints their checks by these names.
+GRAPH_FAMILIES: dict[str, Callable[[int, int, int], bool]] = {
+    "connected_bipartite": lambda comps, bip, iso: comps == 1 and bip == 1,
+    "connected": lambda comps, bip, iso: comps == 1,
+    "no_isolated": lambda comps, bip, iso: iso == 0,
+    "bipartite_no_isolated": lambda comps, bip, iso: bip == comps and iso == 0,
+}
 
-    entries is keyed by (size, components, bipartite components, isolated
-    vertices); the usual count families are exposed as by-size views.
-    """
 
-    entries: Counter
-
-    def _by_size(self, keep) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for (size, comps, bip, iso), count in self.entries.items():
-            if keep(comps, bip, iso):
-                out[size] = out.get(size, 0) + count
-        return out
-
-    def connected_bipartite_by_size(self) -> dict[int, int]:
-        return self._by_size(lambda comps, bip, iso: comps == 1 and bip == 1)
-
-    def connected_by_size(self) -> dict[int, int]:
-        return self._by_size(lambda comps, bip, iso: comps == 1)
-
-    def no_isolated_by_size(self) -> dict[int, int]:
-        return self._by_size(lambda comps, bip, iso: iso == 0)
-
-    def bipartite_no_isolated_by_size(self) -> dict[int, int]:
-        return self._by_size(lambda comps, bip, iso: bip == comps and iso == 0)
+def family_by_size(census: Counter, name: str) -> Counter:
+    """The graphs of an :func:`enumerate_graphs` census in the family name, by size."""
+    keep = GRAPH_FAMILIES[name]
+    out: Counter = Counter()
+    for (size, comps, bip, iso), count in census.items():
+        if keep(comps, bip, iso):
+            out[size] += count
+    return out
 
 
 def _join_edge(code: Tuple[int, ...], edge: tuple[int, int]) -> Tuple[int, ...]:
@@ -392,8 +384,9 @@ def _canonical(code: Tuple[int, ...], m: int) -> Tuple[int, ...]:
     return (*out, *code[m:])
 
 
-def enumerate_graphs(n: int, *, limit: int = GRAPH_CENSUS_LIMIT) -> GraphCensus:
-    """Classify all 2^C(n,2) labeled graphs on [n].
+def enumerate_graphs(n: int, *, limit: int = GRAPH_CENSUS_LIMIT) -> Counter:
+    """Number of labeled graphs on [n] by (size, components, bipartite
+    components, isolated vertices), over all 2^C(n,2) of them.
 
     A forward pass over the edges, vertex by vertex ((u, v) for every u < v,
     as v grows), the state of a graph being its components, which of them
@@ -427,4 +420,4 @@ def enumerate_graphs(n: int, *, limit: int = GRAPH_CENSUS_LIMIT) -> GraphCensus:
         iso = sum(firsts.count(v) == 1 for v in range(n))
         for size, count in sizes.items():
             counts[size, comps, bip, iso] += count
-    return GraphCensus(entries=counts)
+    return counts

@@ -32,7 +32,7 @@ from pairsum.graphcounts import (
     count_table,
     default_caps,
 )
-from pairsum.oracle import enumerate_graphs, finite_field_count, whitney_chi
+from pairsum.oracle import enumerate_graphs, family_by_size, finite_field_count, whitney_chi
 from pairsum.published import diff_polynomials, published_chamber_total, published_chi
 
 
@@ -160,8 +160,8 @@ def test_criterion_5_graph_census():
     conn = connected_graph_counts(default_caps(6))
     for n in range(1, 7):
         census = enumerate_graphs(n)
-        brute_bip = census.connected_bipartite_by_size()
-        brute_conn = census.connected_by_size()
+        brute_bip = family_by_size(census, "connected_bipartite")
+        brute_conn = family_by_size(census, "connected")
         for k in range(0, comb(n, 2) + 1):
             assert bip[(n, k)] == brute_bip.get(k, 0), ("bipartite", n, k)
             assert conn[(n, k)] == brute_conn.get(k, 0), ("connected", n, k)

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -157,17 +158,16 @@ class TestVerify:
         assert report["result"] == "PASS"
 
     def test_graphs_oracle(self, capsys):
+        from pairsum.oracle import GRAPH_FAMILIES
+
         code, out, _ = run(
             capsys, "verify", "--n", "6", "--oracles", "graphs", "--format", "json"
         )
         assert code == 0
         checks = json.loads(out)["oracles"]["graphs"]["checks"]
-        assert {c["name"]: c["result"] for c in checks} == {
-            "connected_bipartite": "PASS",
-            "connected": "PASS",
-            "no_isolated": "PASS",
-            "bipartite_no_isolated": "PASS",
-        }
+        # one check per census family, in the order and by the names of the map
+        assert [c["name"] for c in checks] == list(GRAPH_FAMILIES)
+        assert [c["result"] for c in checks] == ["PASS"] * 4
 
     def test_oracle_guard_reported_not_fatal(self, capsys):
         code, out, _ = run(
@@ -471,6 +471,25 @@ class TestFailureExitCodes:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert err == b""
+
+    def test_unwritable_stdout_exits_one_without_traceback(self):
+        # started with stdout closed, sys.stdout is None: quiet, like a closed pipe
+        closed = subprocess.run(
+            ["sh", "-c", '"$0" -m pairsum charpoly --n 3 >&-', sys.executable],
+            capture_output=True, timeout=60,
+        )
+        assert (closed.returncode, closed.stderr) == (1, b"")
+        if not os.path.exists("/dev/full"):
+            return
+        # every write to /dev/full fails with ENOSPC: one error line, no traceback
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pairsum", "charpoly", "--n", "3"],
+                stdout=full, stderr=subprocess.PIPE, timeout=60,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(b"pairsum: error: cannot write output: ")
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
 
 
 class TestParser:

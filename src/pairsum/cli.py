@@ -7,8 +7,8 @@ as decimal strings so any consumer can parse them losslessly) and latex
 (ready-to-paste display-math lines).  Exit codes: 0 success, 1 verification
 failure, a ``verify`` in which every requested check was skipped, or a
 stdout that is closed (quietly) or cannot be written (with one ``pairsum:
-error:`` line), 2 usage error.  Given the same arguments and format the
-output is byte-for-byte deterministic.
+error:`` line), 2 usage error, even when stderr is closed.  Given the same
+arguments and format the output is byte-for-byte deterministic.
 
 Each command returns its exit code, its json payload and a renderer for
 each other format it supports; :func:`main` writes the one format asked for.
@@ -39,6 +39,20 @@ Outcome = tuple[int, dict, dict[str, Callable[[], str]]]
 
 class UsageError(Exception):
     """Invalid argument values; reported on stderr with exit code 2."""
+
+
+def _error(message: str) -> None:
+    """Write one ``pairsum: error:`` line to stderr, if there is one to write to.
+
+    Started with stderr closed, ``sys.stderr`` is None (and ``print`` would fall
+    back to stdout) or its writes fail; the exit code still tells the caller.
+    """
+    if sys.stderr is None:
+        return
+    try:
+        print(f"pairsum: error: {message}", file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _str_coeffs(poly: IntPolynomial) -> list[str]:
@@ -456,7 +470,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             text = renderers[args.format]()
     except UsageError as exc:
-        print(f"pairsum: error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
     if sys.stdout is None:  # started with stdout closed: nothing to write to
         return 1
@@ -466,7 +480,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code
     except OSError as exc:
         if not isinstance(exc, BrokenPipeError):  # a closed pipe is the reader's choice
-            print(f"pairsum: error: cannot write output: {exc}", file=sys.stderr)
+            _error(f"cannot write output: {exc}")
         # send what is left to devnull, so that the interpreter's final flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -491,6 +493,21 @@ class TestFailureExitCodes:
         assert proc.stderr.startswith(b"pairsum: error: cannot write output: ")
         assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
 
+    def test_closed_stderr_keeps_the_exit_code(self):
+        # started with stderr closed, sys.stderr is None, and print(file=None)
+        # would write the error line to stdout
+        def run_sh(redirected):
+            return subprocess.run(
+                ["sh", "-c", f'"$0" -m pairsum {redirected}', sys.executable],
+                capture_output=True, timeout=60,
+            )
+
+        usage = run_sh("charpoly --n 0 2>&-")
+        assert (usage.returncode, usage.stdout) == (2, b"")
+        assert run_sh("charpoly --n 3 >&- 2>&-").returncode == 1
+        if os.path.exists("/dev/full"):
+            assert run_sh("charpoly --n 3 >/dev/full 2>&-").returncode == 1
+
 
 class TestParser:
     def test_usage_error_exit_two(self, capsys):
@@ -760,3 +777,17 @@ def test_cli_contract_on_generated_argv(argv):
         if formats and formats[-1] == "json":
             json.loads(out)
     assert _run_in_process(argv) == (code, out, err), argv
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="the script is a bash script")
+def test_ci_checks_script_parses_and_the_workflow_runs_it():
+    # CI runs the script, and nothing else here does: a syntax error in it
+    # fails tier-1 on every Python instead of only the CI run
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        ["bash", "-n", str(root / "tools" / "ci_checks.sh")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    assert "bash tools/ci_checks.sh" in workflow

@@ -1,0 +1,75 @@
+#!/usr/bin/env bash
+# The CI checks that need no fresh install: CLI smoke runs, warnings as
+# errors, reach, hash-seed independence and a short benchmark run.  Run it
+# from any directory, with the test extra installed:
+#
+#     bash tools/ci_checks.sh
+#
+# It runs `python` from PATH against the source tree and stops at the first
+# failing check.  Its last line says that every check passed.
+set -euo pipefail
+trap 'echo "ci_checks: FAILED at line $LINENO: $BASH_COMMAND" >&2' ERR
+cd "$(dirname "$0")/.."
+export PYTHONPATH=src
+# no __pycache__ in the checkout: the benchmark times the source as it stands
+export PYTHONDONTWRITEBYTECODE=1
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+# argparse %-formats a help string only when --help asks for it, so a bad
+# one would show up nowhere else
+echo "ci_checks: subcommand help"
+for cmd in charpoly chambers table bipartite verify; do
+  python -m pairsum "$cmd" --help > /dev/null
+done
+# the --mode choices are read from pairsum.Mode
+for cmd in charpoly chambers table; do
+  python -m pairsum "$cmd" --help | grep -q '{paper,corrected}'
+done
+
+# warnings as errors and the dev-mode checks: a deprecation in a newer Python
+# fails the run instead of only printing a warning.  bipartite --to 12 is the
+# largest table the command builds by default, and the one path of it with
+# no graph census
+echo "ci_checks: each subcommand under -W error -X dev"
+python -W error -X dev -m pairsum charpoly --n 6 > /dev/null
+python -W error -X dev -m pairsum chambers --n 6 > /dev/null
+python -W error -X dev -m pairsum table --to 6 > /dev/null
+python -W error -X dev -m pairsum bipartite --to 6 > /dev/null
+python -W error -X dev -m pairsum bipartite --to 12 > /dev/null
+python -W error -X dev -m pairsum verify --n 6 > /dev/null
+
+# the default primes are the first n + 1 from 5: they rebuild chi_40 from
+# point counts in well under a second
+echo "ci_checks: default verify at n = 40"
+timeout 60 python -m pairsum verify --n 40 --max-n 40 > /dev/null
+
+# 20,000 items (about 120 KB, under the 128 KiB limit of one argument) with
+# one repeat: the repeats are counted in one pass, not per item
+echo "ci_checks: long prime list with a repeat is a usage error"
+code=0
+timeout 60 python -m pairsum verify --n 1 --primes "$(seq -s, 10000 29998),10000" || code=$?
+test "$code" -eq 2
+
+# the y = -1 pipeline prints n = 60 in well under a second; the
+# cardinality-resolved one grows as n^6 and would need minutes here
+echo "ci_checks: reach n = 60 in both modes"
+timeout 60 python -m pairsum table --to 60 --max-n 60 --mode corrected > /dev/null
+timeout 60 python -m pairsum table --to 60 --max-n 60 --mode paper > /dev/null
+
+# the graph checks are read by family name from a str-keyed map: their order
+# and every other byte must not depend on the string hash seed
+echo "ci_checks: output does not depend on the hash seed"
+for argv in "verify --n 6 --format json" "bipartite --to 6 --format json"; do
+  PYTHONHASHSEED=0 python -m pairsum $argv > "$tmp/seed0.txt"
+  PYTHONHASHSEED=1 python -m pairsum $argv > "$tmp/seed1.txt"
+  cmp "$tmp/seed0.txt" "$tmp/seed1.txt"
+done
+
+# run.py exits 0 even when a job fails: its last line is the JSON summary,
+# whose "correct" is true only when every job printed its pinned stdout
+echo "ci_checks: benchmark smoke run"
+timeout 180 python bench/run.py --workload all --seed 1 --seconds 1 | tail -n 1 \
+  | python -c "import json, sys; sys.exit(json.load(sys.stdin)['correct'] is not True)"
+
+echo "ci_checks: every check passed"

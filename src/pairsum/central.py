@@ -23,18 +23,19 @@ to m! [x^m y^c z^v], the number of graphs of that kind on the vertex set
 {1..m}.  All arithmetic is on integers.  A type-0 component on k vertices
 has rank k - 1 and every other component has full rank, so a graph on m
 vertices with v type-0 components has rank m - v; :func:`whitney_numbers`
-re-indexes by that rank.
+re-indexes by that rank.  The code builds types 2 and 3 as one colored
+kind, whose one-vertex entry is type 2.
 
 The characteristic polynomial reads Gamma only through
 sum_c (-1)^c count(m, c, v), that is at y = -1.  Setting y = -1 is a ring
 homomorphism, so it commutes with the sum, exp and log:
-:func:`signed_gamma_product` builds the same four series with the table
+:func:`signed_gamma_product` builds the same kinds with the table
 builders of :mod:`pairsum.graphcounts` run ``signed``, reading (1 + y)^e
-as 0^e and y^t as (-1)^t, so every entry is keyed (0, v).  It drops the
-cardinality dimension, which is what made the full Gamma grow as n^6,
-and is the path every command of the CLI takes.  :func:`gamma_product`
-keeps the full trivariate Gamma of the paper, from which
-:func:`whitney_numbers` reads the counts by rank and cardinality.
+as 0^e, so every entry is keyed (0, v).  It drops the cardinality
+dimension, which is what made the full Gamma grow as n^6, and is the path
+every command of the CLI takes.  :func:`gamma_product` keeps the full
+trivariate Gamma of the paper, from which :func:`whitney_numbers` reads
+the counts by rank and cardinality.
 
 The type-1 series exists in two variants, selected by :class:`Mode`:
 conn - cb, the connected non-bipartite graphs, when corrected, and the log
@@ -59,25 +60,24 @@ from .graphcounts import (
     no_isolated,
     one_plus_y_power,
     without_single_vertex,
-    y_power,
 )
 from .labeled import Labeled, Poly
 
 
-def _components(
-    n: int, mode: Mode, signed: bool
-) -> Tuple[Labeled, Labeled, Labeled, Labeled]:
-    """The connected central graphs of types 0 to 3 on vertex counts 0..n,
-    resolved by cardinality, or at y = -1 when signed.
+def _components(n: int, mode: Mode, signed: bool) -> Tuple[Labeled, Labeled, Labeled]:
+    """The connected central graphs on vertex counts 0..n in three kinds,
+    type 0, type 1 and the colored kind (types 2 and 3), resolved by
+    cardinality, or at y = -1 when signed.
 
     cb counts connected bipartite graphs and conn connected graphs.  Type 0
     is z (cb - x): an uncolored isolated vertex is no wall, so it is left
     out and planted later.  Type 1 is conn - cb if corrected, the log of
     exp(conn - x) - exp(cb - x) + 1 (exact: its entry 0 is 1) if paper.
-    Type 2 is 2y on one vertex, the two colorings of an isolated colored
-    vertex.  Type 3 is the connected bipartite graphs on m >= 2 vertices
-    with a nonempty set of colored vertices, colored in one of the two ways
-    the bipartition allows: entry m is 2 (cb - x)_m ((1 + y)^m - 1).
+    The colored kind is the connected bipartite graphs with a nonempty set
+    of colored vertices, colored in one of the two ways the bipartition
+    allows: entry m is 2 cb_m ((1 + y)^m - 1).  Its one-vertex entry, 2y as
+    cb_1 = 1, is type 2, the two colorings of an isolated colored vertex;
+    its entries from m = 2 on are type 3.
     """
     # Mode(mode) accepts the member or its value and raises ValueError otherwise
     paper = Mode(mode) is Mode.PAPER
@@ -91,18 +91,17 @@ def _components(
         type1 = labeled.log(g1)
     else:
         type1 = labeled.difference(conn, cb)
-    type2 = [{}, {key: 2 * s for key, s in y_power(1, signed=signed).items()}] + [{}] * (n - 1)
-    type3: Labeled = []
-    for m, entry in enumerate(bipartite):
+    colored: Labeled = []
+    for m, entry in enumerate(cb):
         colorings = labeled.difference([one_plus_y_power(m, signed=signed)], [labeled.ONE])[0]
         acc: Poly = {}
         labeled._add_product(acc, entry, colorings, 2)
-        type3.append(acc)
-    return type0, type1, type2, type3
+        colored.append(acc)
+    return type0, type1, colored
 
 
 def _gamma(n: int, mode: Mode, signed: bool) -> Labeled:
-    """Gamma on vertex counts 0..n: exp of the sum of the four connected kinds."""
+    """Gamma on vertex counts 0..n: exp of the sum of the three connected kinds."""
     if n < 1:
         raise ValueError("n must be at least 1")
     total: Labeled = [{} for _ in range(n + 1)]

@@ -7,8 +7,9 @@ as decimal strings so any consumer can parse them losslessly) and latex
 (ready-to-paste display-math lines).  Exit codes: 0 success, 1 verification
 failure, a ``verify`` in which every requested check was skipped, or a
 stdout that is closed (quietly) or cannot be written (with one ``pairsum:
-error:`` line), 2 usage error, even when stderr is closed.  Given the same
-arguments and format the output is byte-for-byte deterministic.
+error:`` line), 2 usage error, with stdout left empty even when stderr is
+closed.  Given the same arguments and format the output is byte-for-byte
+deterministic.
 
 Each command returns its exit code, its json payload and a renderer for
 each other format it supports; :func:`main` writes the one format asked for.
@@ -42,13 +43,8 @@ class UsageError(Exception):
 
 
 def _error(message: str) -> None:
-    """Write one ``pairsum: error:`` line to stderr, if there is one to write to.
-
-    Started with stderr closed, ``sys.stderr`` is None (and ``print`` would fall
-    back to stdout) or its writes fail; the exit code still tells the caller.
-    """
-    if sys.stderr is None:
-        return
+    """Write one ``pairsum: error:`` line to stderr, if it can be written;
+    the exit code still tells the caller."""
     try:
         print(f"pairsum: error: {message}", file=sys.stderr)
     except OSError:
@@ -69,8 +65,6 @@ def _diff_entries(computed: IntPolynomial, reference: IntPolynomial) -> list[dic
 
 
 def _check_range(flag: str, value: int, low: int, max_n: int) -> None:
-    if max_n < 1:
-        raise UsageError("--max-n must be at least 1")
     if max_n < low:
         raise UsageError(f"--max-n must be at least {low}")
     if value < low or value > max_n:
@@ -459,6 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if sys.stderr is None:
+        # started with stderr closed: print(file=None), as argparse's usage
+        # errors do, would fall back to stdout
+        sys.stderr = open(os.devnull, "w")
     args = build_parser().parse_args(argv)
     try:
         _check_range(args.flag, getattr(args, args.flag[2:]), args.low, args.max_n)

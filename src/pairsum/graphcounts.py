@@ -4,15 +4,15 @@ Every series here is an exponential generating function in x (order) and y
 (size): the coefficient of x^n y^k multiplied by n! is a count of labeled
 graphs on n vertices with k edges.  The counts are computed as integer
 labeled-count tables (:mod:`pairsum.labeled`, entry m holding
-``{(k, 0): count}`` for every size k a graph on m vertices can have).  The
-tables are built from two primitives, (1 + y)^e and y^t.  Run ``signed``,
-the primitives return their values at y = -1 instead; setting y = -1 is a
-ring homomorphism, so every table built from them, its log included, is
-then the same table at y = -1, keyed (0, 0).  The ``*_series`` functions
-convert a table to a :class:`TruncatedSeries` at the given caps for
-callers that want the EGF itself, dropping the sizes above ``caps.dy``.
-Only those EGF views and :func:`default_caps` import :mod:`pairsum.series`
-and :mod:`fractions`, so the integer tables load neither.
+``{(k, 0): count}`` for every size k a graph on m vertices can have).  Every
+table is built from one primitive, (1 + y)^e.  Run ``signed``, it returns
+its value at y = -1 instead, 0^e; setting y = -1 is a ring homomorphism, so
+every table built from it, its log included, is then the same table at
+y = -1, keyed (0, 0).  The ``*_series`` functions convert a table to a
+:class:`TruncatedSeries` at the given caps for callers that want the EGF
+itself, dropping the sizes above ``caps.dy``.  Only those EGF views and
+:func:`default_caps` import :mod:`pairsum.series` and :mod:`fractions`, so
+the integer tables load neither.
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ def one_plus_y_power(e: int, *, signed: bool = False) -> Poly:
     if signed:
         return {(0, 0): 1} if e == 0 else {}
     return {(k, 0): comb(e, k) for k in range(e + 1)}
-
-
-def y_power(t: int, *, signed: bool = False) -> Poly:
-    """y^t by y-degree, or its value (-1)^t at y = -1 when signed."""
-    return {(0, 0): (-1) ** t} if signed else {(t, 0): 1}
 
 
 def bicolored_table(n: int, *, signed: bool = False) -> Labeled:

@@ -4,12 +4,13 @@ Commands expose the pipeline (``charpoly``, ``chambers``, ``table``), the
 graph-count tables (``bipartite``) and the oracle cross-checks (``verify``).
 Output formats are text (default), json (machine-readable, all big integers
 as decimal strings so any consumer can parse them losslessly) and latex
-(ready-to-paste display-math lines).  Exit codes: 0 success, 1 verification
-failure, a ``verify`` in which every requested check was skipped, or a
-stdout that is closed (quietly) or cannot be written (with one ``pairsum:
-error:`` line), 2 usage error, with stdout left empty even when stderr is
-closed.  Given the same arguments and format the output is byte-for-byte
-deterministic.
+(ready-to-paste display-math lines).  Every integer an option takes, each
+``--primes`` item included, is an optional sign and ASCII digits.  Exit
+codes: 0 success, 1 verification failure, a ``verify`` in which every
+requested check was skipped, or a stdout that is closed (quietly) or cannot
+be written (with one ``pairsum: error:`` line), 2 usage error, with stdout
+left empty even when stderr is closed.  Given the same arguments and format
+the output is byte-for-byte deterministic.
 
 Each command returns its exit code, its json payload and a renderer for
 each other format it supports; :func:`main` writes the one format asked for.
@@ -62,6 +63,14 @@ def _diff_entries(computed: IntPolynomial, reference: IntPolynomial) -> list[dic
         {"power": power, "computed": str(a), "published": str(b)}
         for power, a, b in diff_polynomials(computed, reference)
     ]
+
+
+def integer(text: str) -> int:
+    """An argparse type: an optional sign and ASCII digits, with spaces around them."""
+    digits = text.strip().lstrip("+-")  # int() then refuses a second sign
+    if not (digits.isascii() and digits.isdigit()):  # int() takes 1_1 and non-ASCII digits
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _check_range(flag: str, value: int, low: int, max_n: int) -> None:
@@ -352,19 +361,14 @@ def _cmd_verify(args: argparse.Namespace) -> Outcome:
     from .oracle import MAX_VERIFICATION_PRIME, default_verification_primes, is_verification_prime
 
     if args.primes is not None:
-        items = args.primes.split(",")
-        for position, item in enumerate(items, start=1):
-            # an optional sign and ASCII digits: int() also takes 1_1 and non-ASCII digits
-            digits = item.strip()
-            digits = digits[1:] if digits[:1] in ("+", "-") else digits
-            if not (digits.isascii() and digits.isdigit()):
+        primes = []
+        for position, item in enumerate(args.primes.split(","), start=1):
+            try:
+                primes.append(integer(item))
+            except ValueError:
                 raise UsageError(
                     f"--primes must be a comma-separated integer list: item {position} is {item!r}"
-                )
-        try:
-            primes = tuple(int(item) for item in items)
-        except ValueError as exc:  # more digits than int() converts
-            raise UsageError(f"--primes must be a comma-separated integer list: {exc}")
+                ) from None
         _reject_repeats("--primes", primes, "prime")
         invalid = [q for q in primes if not is_verification_prime(q)]
         if invalid:
@@ -424,12 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
                 max_n=True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func, flag=size, low=low, max_n=DEFAULT_MAX_N)
-        p.add_argument(size, type=int, required=True)
+        p.add_argument(size, type=integer, required=True)
         if mode:
             p.add_argument("--mode", choices=[m.value for m in Mode], default="corrected")
         p.add_argument("--format", choices=formats, default="text")
         if max_n:
-            p.add_argument("--max-n", type=int,
+            p.add_argument("--max-n", type=integer,
                            help=f"largest accepted n (default {DEFAULT_MAX_N})")
         return p
 
@@ -447,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes",
                    help="override the finite-field primes (default: the first max(4, n+1) "
                    "from 5; 23,29,31 at n=5)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=integer, default=1,
                    help="echoed in the report; every oracle is serial, so it changes no work")
     return parser
 

@@ -141,14 +141,15 @@ def _arrangement_rows(n: int) -> list[Row]:
     return rows
 
 
-def _guard(n: int, limit: int, what: str) -> None:
+def _guard(n: int, limit: int, what: str,
+           instead: str = "finite_field_count for spot checks") -> None:
+    """The size rule of the three exhaustive oracles: 1 <= n <= limit."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > limit:
         raise ValueError(
-            f"{what} enumerates all 2^{comb(n, 2) + 2 * n} wall subsets and is "
-            f"guarded at n <= {limit}; pass limit={n} to override, or use "
-            "finite_field_count for spot checks at larger n"
+            f"{what} and is guarded at n <= {limit}; pass limit={n} to override, "
+            f"or use {instead} at larger n"
         )
 
 
@@ -165,7 +166,7 @@ def central_census(n: int, *, limit: int = SUBSET_SCAN_LIMIT) -> Counter:
     eliminations at n = 5 and 6,676 at n = 6, against 4,277 and 30,957 for
     one pass over every wall.
     """
-    _guard(n, limit, "central_census")
+    _guard(n, limit, f"central_census enumerates all 2^{comb(n, 2) + 2 * n} wall subsets")
     pairs = [_wall(n, {u, v}, 1) for v in range(n) for u in range(v)]
     totals: Counter = Counter()
     for zeros in range(n + 1):
@@ -182,7 +183,7 @@ def central_census(n: int, *, limit: int = SUBSET_SCAN_LIMIT) -> Counter:
 
 def whitney_chi(n: int, *, limit: int = SUBSET_SCAN_LIMIT) -> IntPolynomial:
     """Characteristic polynomial by direct summation over central subsets."""
-    _guard(n, limit, "whitney_chi")
+    _guard(n, limit, f"whitney_chi enumerates all 2^{comb(n, 2) + 2 * n} wall subsets")
     coeffs = [0] * (n + 1)
     for (rank, size), count in central_census(n, limit=limit).items():
         coeffs[n - rank] += -count if size % 2 else count
@@ -397,13 +398,7 @@ def enumerate_graphs(n: int, *, limit: int = GRAPH_CENSUS_LIMIT) -> Counter:
     are counted together.  A state is then a multiset of component types: 24
     of them at n = 6 and 39 at n = 7, against 924 and 5,952 unmerged.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > limit:
-        raise ValueError(
-            f"enumerate_graphs visits 2^{comb(n, 2)} graphs and is guarded at "
-            f"n <= {limit}; pass limit={n} to override"
-        )
+    _guard(n, limit, f"enumerate_graphs visits 2^{comb(n, 2)} graphs", "the graphcounts tables")
     states: dict = {tuple(range(0, 3 * n, 3)): {0: 1}}
     for v in range(1, n):
         merged: dict = {}

@@ -8,6 +8,13 @@ disagree with the brute-force oracles, so this package treats them purely as
 comparison targets: the ``table`` and ``verify`` commands diff computed
 results against them and itemize every difference.
 
+No Gamma reproduces the rows in either mode: with d_n the published row
+minus chi_n, sum_n (-1)^(m-n) C(m, n) d_n[t^(n-3)] is the difference in
+signed counts of central graphs on m vertices with m - 3 type-0 components,
+and it is 13 (-1)^m C(m, 4) for m = 4..10.  Every type-0 component has at
+least two vertices, so no central graph has more than m/2 of them.  Such a
+difference must therefore be 0 from m = 7 on, and it is not.
+
 The chamber column is the value (-1)^n chi(-1), which by Zaslavsky's theorem
 is the *total* number of chambers (the source captioned it as bounded
 chambers; the values are reported here under the theorem's reading).

@@ -53,6 +53,16 @@ class TestIntPolynomial:
         with pytest.raises(TypeError):
             IntPolynomial(coeffs)
 
+    def test_equal_polynomials_hash_equal(self):
+        # trailing zeros are stripped before hashing, so a set holds one of them
+        assert hash(IntPolynomial([1, 2, 0])) == hash(IntPolynomial([1, 2]))
+        assert len({IntPolynomial([1, 2, 0]), IntPolynomial([1, 2])}) == 1
+
+    @pytest.mark.parametrize("coeffs", [[6, -5, 1], [0], [0, 0, 3], [-(10**30), 1]])
+    def test_repr_evaluates_back(self, coeffs):
+        poly = IntPolynomial(coeffs)
+        assert eval(repr(poly), {"IntPolynomial": IntPolynomial}) == poly
+
     def test_one_class_under_every_public_name(self):
         # it lives in the leaf module; charpoly and the package re-export it
         assert IntPolynomial is polynomial.IntPolynomial is pairsum.IntPolynomial

@@ -565,6 +565,34 @@ class TestParser:
         assert out == ""
         assert err == f"pairsum: error: {flag} must be between {low} and 12\n"
 
+    @pytest.mark.parametrize("value", ["1_2", "\u0667"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["charpoly"], "--n"),
+            (["table"], "--to"),
+            (["charpoly", "--n", "3"], "--max-n"),
+            (["verify", "--n", "2"], "--workers"),
+        ],
+    )
+    def test_integer_beyond_a_sign_and_ascii_digits_is_usage_error(self, argv, flag, value):
+        # int() reads 1_2 as 12 and the Arabic-Indic seven as 7; the CLI reads neither
+        code, out, err = _run_in_process([*argv, flag, value])
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: invalid integer value: {value!r}" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["charpoly", "--n"], ["verify", "--n", "2", "--oracles", "ffield", "--primes"]]
+    )
+    def test_more_digits_than_int_converts_is_usage_error(self, argv):
+        # 4,301 digits: past int()'s default digit limit, or past the size
+        # or prime bound on a Python that has no such limit
+        code, out, err = _run_in_process([*argv, "7" * 4301])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_mode_choices_are_the_mode_values(self):
         # every --mode the parser builds offers the values of Mode, in its order;
         # Mode is defined once, in the package root, and central re-exports it
@@ -727,7 +755,9 @@ def _cli_argv(draw):
     fault = draw(st.sampled_from([None, None, "value", "dangling", "foreign", "command"]))
     if fault == "value" and len(argv) > 1:
         at = draw(st.integers(0, (len(argv) - 1) // 2 - 1)) * 2 + 2
-        argv[at] = draw(st.sampled_from(["", "x", "1.5", "0x3", "--", "xml", "bogus"]))
+        argv[at] = draw(st.sampled_from(
+            ["", "x", "1.5", "0x3", "--", "xml", "bogus", "1_2", "\u0667"]
+        ))
     elif fault == "dangling":
         argv.append(draw(st.sampled_from(list(flags))))
     elif fault == "foreign":

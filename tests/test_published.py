@@ -2,7 +2,10 @@
 
 from math import comb
 
-from pairsum.charpoly import IntPolynomial
+import pytest
+
+from pairsum.central import Mode
+from pairsum.charpoly import IntPolynomial, chi
 from pairsum.published import (
     PUBLISHED_CHAMBER_TOTAL,
     diff_polynomials,
@@ -40,6 +43,26 @@ class TestPublishedData:
         for n in (3, 4, 5, 6, 8, 9, 10):
             poly = published_chi(n)
             assert (-1) ** n * poly(-1) == published_chamber_total(n), n
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+class TestNoModeReproducesThePublishedRows:
+    def test_rows_match_at_two_and_three_only(self, mode):
+        matches = [n for n in range(2, 11) if chi(n, mode) == published_chi(n)]
+        assert matches == [2, 3]
+
+    def test_central_graph_counts_no_gamma_can_have(self, mode):
+        # d_n = published - chi_n.  The binomial transform of d_n[t^(n-3)] is
+        # delta(m, m - 3), the difference in signed counts of central graphs
+        # on m vertices with m - 3 type-0 components.  A type-0 component has
+        # at least two vertices, so a Gamma that gave the published rows
+        # would need delta = 0 from m = 7 on; it is 13 (-1)^m C(m, 4)
+        d = {n: published_chi(n).coefficient(n - 3) - chi(n, mode).coefficient(n - 3)
+             for n in range(3, 11)}
+        deltas = [sum((-1) ** (m - n) * comb(m, n) * d[n] for n in range(3, m + 1))
+                  for m in range(4, 11)]
+        assert deltas == [13, -65, 195, -455, 910, -1638, 2730]
+        assert deltas == [13 * (-1) ** m * comb(m, 4) for m in range(4, 11)]
 
 
 class TestDiffPolynomials:

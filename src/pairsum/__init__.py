@@ -15,7 +15,7 @@ on first access (PEP 562), importing only the submodule that defines it, so
 ``from pairsum import chi`` never loads the oracles and a CLI command loads
 only the code it runs.  The package exports the documented API only; every
 other name is imported from its submodule (``from pairsum.central import
-gamma_product``).
+gamma``).
 """
 
 import enum

@@ -14,28 +14,25 @@ of four kinds:
   type 3  components in which every vertex reaches a colored vertex.
 
 So by the exponential formula (Stanley, *Enumerative Combinatorics* Vol. 2,
-Sec. 5.1) the generating function Gamma(x,y,z) of all central graphs is
-the exp of the sum of the four connected series, where x marks the number
-of vertices, y cardinality (edges plus colored vertices) and z the number
-of type-0 components.  Each series is a labeled-count series
-(:mod:`pairsum.labeled`) truncated at m <= n vertices: entry m maps (c, v)
-to m! [x^m y^c z^v], the number of graphs of that kind on the vertex set
-{1..m}.  All arithmetic is on integers.  A type-0 component on k vertices
-has rank k - 1 and every other component has full rank, so a graph on m
-vertices with v type-0 components has rank m - v; :func:`whitney_numbers`
-re-indexes by that rank.  The code builds types 2 and 3 as one colored
-kind, whose one-vertex entry is type 2.
+Sec. 5.1) the generating function Gamma(x,y,z) of all central graphs,
+:func:`gamma`, is the exp of the sum of the four connected series, where x
+marks the number of vertices, y cardinality (edges plus colored vertices)
+and z the number of type-0 components.  Each series is a labeled-count
+series (:mod:`pairsum.labeled`) truncated at m <= n vertices: entry m maps
+(c, v) to m! [x^m y^c z^v], the number of graphs of that kind on the
+vertex set {1..m}.  All arithmetic is on integers.  A type-0 component on
+k vertices has rank k - 1 and every other component has full rank, so a
+graph on m vertices with v type-0 components has rank m - v.  The code
+builds types 2 and 3 as one colored kind, whose one-vertex entry is type 2.
 
-The characteristic polynomial reads Gamma only through
-sum_c (-1)^c count(m, c, v), that is at y = -1.  Setting y = -1 is a ring
-homomorphism, so it commutes with the sum, exp and log:
-:func:`signed_gamma_product` builds the same kinds with the table
-builders of :mod:`pairsum.graphcounts` run ``signed``, reading (1 + y)^e
-as 0^e, so every entry is keyed (0, v).  It drops the cardinality
-dimension, which is what made the full Gamma grow as n^6, and is the path
-every command of the CLI takes.  :func:`gamma_product` keeps the full
-trivariate Gamma of the paper, from which :func:`whitney_numbers` reads
-the counts by rank and cardinality.
+The characteristic polynomial reads Gamma only at y = -1, through
+sum_c (-1)^c count(m, c, v).  Setting y = -1 is a ring homomorphism, so
+it commutes with the sum, exp and log: ``gamma(n, mode, signed=True)``
+builds the same kinds with the table builders of :mod:`pairsum.graphcounts`
+run ``signed``, reading (1 + y)^e as 0^e, so every entry is keyed (0, v).
+That drops the cardinality dimension, which makes the full Gamma grow as
+n^6, and is the path every command of the CLI takes.  The full Gamma gives
+:func:`whitney_numbers` the counts by rank and cardinality.
 
 The type-1 series exists in two variants, selected by :class:`Mode`:
 conn - cb, the connected non-bipartite graphs, when corrected, and the log
@@ -100,8 +97,10 @@ def _components(n: int, mode: Mode, signed: bool) -> Tuple[Labeled, Labeled, Lab
     return type0, type1, colored
 
 
-def _gamma(n: int, mode: Mode, signed: bool) -> Labeled:
-    """Gamma on vertex counts 0..n: exp of the sum of the three connected kinds."""
+def gamma(n: int, mode: Mode = Mode.CORRECTED, *, signed: bool = False) -> Labeled:
+    """Gamma on vertex counts 0..n, the exp of the sum of the three connected
+    kinds: entry m maps (c, v) to m! [x^m y^c z^v], or holds that entry at
+    y = -1, keyed (0, v), when signed."""
     if n < 1:
         raise ValueError("n must be at least 1")
     total: Labeled = [{} for _ in range(n + 1)]
@@ -109,30 +108,6 @@ def _gamma(n: int, mode: Mode, signed: bool) -> Labeled:
         for entry, part in zip(total, kind):
             labeled._add_product(entry, part, labeled.ONE, 1)  # entry += part
     return labeled.exp(total)
-
-
-def gamma_product(n: int, mode: Mode = Mode.CORRECTED) -> dict[Tuple[int, int, int], int]:
-    """The full central-graph series Gamma on at most n vertices, flattened
-    to {(vertices m, cardinality c, type-0 components v): count}."""
-    series = _gamma(n, mode, signed=False)
-    return {
-        (m, c, v): count
-        for m, entry in enumerate(series)
-        for (c, v), count in entry.items()
-    }
-
-
-def signed_gamma_product(
-    n: int, mode: Mode = Mode.CORRECTED
-) -> dict[Tuple[int, int], int]:
-    """Gamma at y = -1 on at most n vertices, flattened to
-    {(vertices m, type-0 components v): sum_c (-1)^c count(m, c, v)}.
-
-    The same sum and exp as :func:`gamma_product`, built from the tables at
-    y = -1, so no entry carries a cardinality.
-    """
-    series = _gamma(n, mode, signed=True)
-    return {(m, v): s for m, entry in enumerate(series) for (_, v), s in entry.items()}
 
 
 def whitney_numbers(n: int, mode: Mode = Mode.CORRECTED) -> Counter:
@@ -144,15 +119,17 @@ def whitney_numbers(n: int, mode: Mode = Mode.CORRECTED) -> Counter:
     breaks that from order 5 on, so c >= r is checked when corrected only.
     """
     corrected = Mode(mode) is Mode.CORRECTED
-    gamma = gamma_product(n, mode)
+    series = gamma(n, mode)
     table: Counter = Counter()
-    for (m, c, v), count in gamma.items():
-        r = m - v
-        if count < 0:
-            raise ConsistencyError(f"negative central-graph count at {(r, c, v)}")
-        if count and c < r and corrected:
-            raise ConsistencyError(f"count at rank {r}, cardinality {c} violates c >= r")
-        table[r, c] += comb(n, m) * count
-    if gamma.get((0, 0, 0), 0) != 1:
+    for m, entry in enumerate(series):
+        plantings = comb(n, m)
+        for (c, v), count in entry.items():
+            r = m - v
+            if count < 0:
+                raise ConsistencyError(f"negative central-graph count at {(r, c, v)}")
+            if count and c < r and corrected:
+                raise ConsistencyError(f"count at rank {r}, cardinality {c} violates c >= r")
+            table[r, c] += plantings * count
+    if series[0].get((0, 0), 0) != 1:
         raise ConsistencyError("the empty graph must be counted exactly once")
     return table

@@ -5,20 +5,13 @@ characteristic polynomial is
 
     chi_n(t) = sum over central wall subsets B of (-1)^|B| t^(n - rank B).
 
-Grouping subsets by the rank and cardinality of their central graph gives
-the t^(n-r) coefficient as sum_c (-1)^c gamma_{r,c}, with gamma_{r,c}
-assembled from the central-graph counts of :mod:`pairsum.central`.  The sum
-over cardinality is taken first, by evaluating Gamma at y = -1
-(:func:`pairsum.central.signed_gamma_product`): a central graph on m
-vertices with v bipartite uncolored components has rank m - v and is
-planted into [n] in C(n, m) ways, so
-
-    chi_n(t) = sum over m <= n and v of C(n, m) s(m, v) t^(n - m + v)
-
-where s(m, v) is the signed count.  The empty subarrangement contributes
-the monic leading term t^n.  At y = -1 each entry of Gamma holds at most
-m/2 + 1 terms and each entry of the sum at most two, so the one exp costs
-O(n^3) multiplications of integers of O(n log n) bits, and chi(n) with it.
+Grouping subsets by their central graph, :func:`_assemble` sums over
+cardinality first, by reading the Gamma of :mod:`pairsum.central` at
+y = -1, and then plants each graph into [n].  The empty subarrangement
+contributes the monic leading term t^n.  At y = -1 each entry of Gamma
+holds at most m/2 + 1 terms and each entry of the sum at most two, so the
+one exp costs O(n^3) multiplications of integers of O(n log n) bits, and
+chi(n) with it.
 
 Zaslavsky's theorem converts chi_n into chamber counts: the number of
 chambers is (-1)^n chi_n(-1) and the number of relatively bounded chambers
@@ -28,9 +21,10 @@ is (-1)^n chi_n(+1).
 from __future__ import annotations
 
 from math import comb
-from typing import Mapping, NamedTuple, Tuple
+from typing import NamedTuple
 
-from .central import Mode, signed_gamma_product
+from .central import Mode, gamma
+from .labeled import Labeled
 from .polynomial import IntPolynomial  # re-exported: pairsum.charpoly.IntPolynomial
 
 
@@ -52,23 +46,24 @@ class ChamberCounts(NamedTuple):
         return cls(total=sign * poly(-1), bounded=sign * poly(1))
 
 
-def _assemble(signed: Mapping[Tuple[int, int], int], n: int) -> IntPolynomial:
-    """chi_n(t) = sum over m <= n and v of C(n, m) s(m, v) t^(n - m + v).
+def _assemble(series: Labeled, n: int) -> IntPolynomial:
+    """chi_n(t) = sum over m <= n and v of C(n, m) s(m, v) t^(n - m + v),
+    where series[m][(0, v)] = s(m, v) is Gamma at y = -1.
 
     A central graph on m vertices with v type-0 components has rank m - v
-    and is planted into [n] in C(n, m) ways.
+    and is planted into [n] in C(n, m) ways.  Entries above n are not read.
     """
-    plantings = [comb(n, m) for m in range(n + 1)]
     coeffs = [0] * (n + 1)
-    for (m, v), s in signed.items():
-        if m <= n:
-            coeffs[n - m + v] += plantings[m] * s
+    for m, entry in enumerate(series[: n + 1]):
+        plantings = comb(n, m)
+        for (_, v), s in entry.items():
+            coeffs[n - m + v] += plantings * s
     return IntPolynomial(coeffs)
 
 
 def chi(n: int, mode: Mode = Mode.CORRECTED) -> IntPolynomial:
     """Characteristic polynomial of the rank-n arrangement."""
-    return _assemble(signed_gamma_product(n, mode), n)
+    return _assemble(gamma(n, mode, signed=True), n)
 
 
 def chambers(n: int, mode: Mode = Mode.CORRECTED) -> ChamberCounts:
@@ -77,15 +72,15 @@ def chambers(n: int, mode: Mode = Mode.CORRECTED) -> ChamberCounts:
 
 
 def chi_table(n_max: int, mode: Mode = Mode.CORRECTED) -> list[IntPolynomial]:
-    """[chi(2), ..., chi(n_max)], sharing one signed product on n_max vertices.
+    """[chi(2), ..., chi(n_max)], sharing one signed Gamma on n_max vertices.
 
-    The central-graph counts do not depend on n, so a single product on at
+    The central-graph counts do not depend on n, so a single series on at
     most n_max vertices serves every smaller rank.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    signed = signed_gamma_product(n_max, mode)
-    return [_assemble(signed, n) for n in range(2, n_max + 1)]
+    series = gamma(n_max, mode, signed=True)
+    return [_assemble(series, n) for n in range(2, n_max + 1)]
 
 
 def signs_alternate(poly: IntPolynomial) -> bool:

@@ -26,12 +26,7 @@ from pairsum import central, labeled
 from pairsum.central import Mode, whitney_numbers
 from pairsum.charpoly import IntPolynomial, chi, signs_alternate
 from pairsum.cli import main
-from pairsum.graphcounts import (
-    connected_bipartite_table,
-    connected_graph_counts,
-    count_table,
-    default_caps,
-)
+from pairsum.graphcounts import connected_bipartite_table, connected_table, count_table
 from pairsum.oracle import enumerate_graphs, family_by_size, finite_field_count, whitney_chi
 from pairsum.published import diff_polynomials, published_chamber_total, published_chi
 
@@ -157,7 +152,7 @@ def test_criterion_4_published_table_report():
 def test_criterion_5_graph_census():
     start = time.perf_counter()
     bip = count_table(connected_bipartite_table(6))
-    conn = connected_graph_counts(default_caps(6))
+    conn = count_table(connected_table(6))
     for n in range(1, 7):
         census = enumerate_graphs(n)
         brute_bip = family_by_size(census, "connected_bipartite")

@@ -25,6 +25,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import GRAPH_CENSUS_LIMIT, Mode, __version__
+from .polynomial import decimal_str
 
 if TYPE_CHECKING:
     from .polynomial import IntPolynomial
@@ -53,14 +54,14 @@ def _error(message: str) -> None:
 
 
 def _str_coeffs(poly: IntPolynomial) -> list[str]:
-    return [str(c) for c in poly.coeffs]
+    return [decimal_str(c) for c in poly.coeffs]
 
 
 def _diff_entries(computed: IntPolynomial, reference: IntPolynomial) -> list[dict]:
     from .published import diff_polynomials
 
     return [
-        {"power": power, "computed": str(a), "published": str(b)}
+        {"power": power, "computed": decimal_str(a), "published": decimal_str(b)}
         for power, a, b in diff_polynomials(computed, reference)
     ]
 
@@ -110,8 +111,8 @@ def _cmd_chambers(args: argparse.Namespace) -> Outcome:
     n = args.n
     from .charpoly import chambers
 
-    total, bounded = chambers(n, args.mode)
-    payload = {"n": n, "mode": args.mode, "total": str(total), "bounded": str(bounded)}
+    total, bounded = map(decimal_str, chambers(n, args.mode))
+    payload = {"n": n, "mode": args.mode, "total": total, "bounded": bounded}
     return 0, payload, {
         "text": lambda: f"chambers (total): {total}\nrelatively bounded chambers: {bounded}",
         "latex": lambda: f"\\[ r_{{{n}}} = {total}, \\qquad b_{{{n}}} = {bounded} \\]",
@@ -130,13 +131,13 @@ def _cmd_table(args: argparse.Namespace) -> Outcome:
     rows = []
     lines = [f"characteristic polynomials, mode={args.mode}, n=2..{n_max}"]
     for n, poly in enumerate(polys, 2):
-        total, bounded = ChamberCounts.of(poly)
+        total, bounded = map(decimal_str, ChamberCounts.of(poly))
         row = {
             "n": n,
             "coeffs": _str_coeffs(poly),
             "polynomial": str(poly),
             "signs_alternate": signs_alternate(poly),
-            "chambers": {"total": str(total), "bounded": str(bounded)},
+            "chambers": {"total": total, "bounded": bounded},
             "published": None,
         }
         rows.append(row)
@@ -149,13 +150,14 @@ def _cmd_table(args: argparse.Namespace) -> Outcome:
             continue
         differences = _diff_entries(poly, reference)
         ref_total = published_chamber_total(n)
+        ref_total = None if ref_total is None else decimal_str(ref_total)
         chamber_diff = None
         if ref_total is not None and ref_total != total:
-            chamber_diff = {"computed": str(total), "published": str(ref_total)}
+            chamber_diff = {"computed": total, "published": ref_total}
         pub = row["published"] = {
             "coeffs": _str_coeffs(reference),
             "signs_alternate": signs_alternate(reference),
-            "chamber_total": None if ref_total is None else str(ref_total),
+            "chamber_total": ref_total,
             "polynomial_differences": differences,
             "chamber_total_difference": chamber_diff,
             "matches": not differences and chamber_diff is None,
@@ -204,11 +206,11 @@ def _cmd_bipartite(args: argparse.Namespace) -> Outcome:
     lines = ["connected labeled bipartite graphs by (order, size)"]
     mismatch = False
     for (n, k), count in sorted(graphcounts.count_table(table).items()):
-        row = {"n": n, "k": k, "count": str(count)}
+        row = {"n": n, "k": k, "count": decimal_str(count)}
         rows.append(row)
-        lines.append(f"b({n},{k}) = {count}")
+        lines.append(f"b({n},{k}) = {row['count']}")
         if census is not None:
-            row["census"] = str(census[n].get(k, 0))
+            row["census"] = decimal_str(census[n].get(k, 0))
             ok = row["census"] == row["count"]
             mismatch = mismatch or not ok
             lines[-1] += f"  [census {row['census']}: {'ok' if ok else 'MISMATCH'}]"
@@ -287,8 +289,9 @@ def _verify_ffield(
     for q, count in counts:
         corrected = "PASS" if polys["corrected"](q) == count else "FAIL"
         paper = "PASS" if polys["paper"](q) == count else "DIVERGENT"
+        count = decimal_str(count)
         rows.append(
-            {"q": q, "status": "ran", "count": str(count), "corrected": corrected, "paper": paper}
+            {"q": q, "status": "ran", "count": count, "corrected": corrected, "paper": paper}
         )
         lines.append(f"  ffield q={q}: count={count} corrected={corrected} paper={paper}")
     failed = any(row["corrected"] == "FAIL" for row in rows)

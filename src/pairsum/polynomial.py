@@ -4,7 +4,25 @@ so the oracles and the published values build them without loading the pipeline.
 from __future__ import annotations
 
 import operator
+import sys
 from typing import Iterable
+
+
+def decimal_str(value: int) -> str:
+    """``str(value)``, whatever the interpreter's int-to-str digit limit.
+
+    The limit guards the parsing of outside input, not the printing of
+    pairsum's own results: past it, the digits are converted in chunks below it.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit or value.bit_length() <= 3 * limit:  # at most 0.91 * limit + 1 digits
+        return str(value)
+    base = 10 ** (limit - 1)
+    high, chunks = abs(value), []
+    while high >= base:
+        high, low = divmod(high, base)
+        chunks.append(str(low).zfill(limit - 1))
+    return "-" * (value < 0) + str(high) + "".join(reversed(chunks))
 
 
 class IntPolynomial:
@@ -61,9 +79,9 @@ class IntPolynomial:
                 continue
             magnitude = abs(c)
             if power == 0:
-                body = str(magnitude)
+                body = decimal_str(magnitude)
             else:
-                body = "" if magnitude == 1 else str(magnitude)
+                body = "" if magnitude == 1 else decimal_str(magnitude)
                 body += power_fmt(power)
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")

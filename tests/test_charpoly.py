@@ -1,5 +1,7 @@
 """Characteristic polynomial assembly, rendering and chamber counts."""
 
+import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -62,6 +64,20 @@ class TestIntPolynomial:
     def test_repr_evaluates_back(self, coeffs):
         poly = IntPolynomial(coeffs)
         assert eval(repr(poly), {"IntPolynomial": IntPolynomial}) == poly
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_decimal_str_is_str_past_the_digit_limit(self):
+        rng = random.Random(20)
+        values = [0, -1, 10**4300, -(10**1279)]
+        values += [rng.randrange(-(10**d), 10**d) for d in (639, 640, 641, 1280, 4301, 20000)]
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            printed = [polynomial.decimal_str(value) for value in values]
+            sys.set_int_max_str_digits(0)
+            assert printed == [str(value) for value in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_one_class_under_every_public_name(self):
         # it lives in the leaf module; charpoly and the package re-export it
@@ -235,6 +251,7 @@ class TestSignsAlternate:
     def test_alternating(self):
         assert signs_alternate(IntPolynomial([6, -5, 1]))
         assert signs_alternate(IntPolynomial([-27, 27, -9, 1]))
+        assert signs_alternate(IntPolynomial([1, -1]))  # a coefficient of 1 below the top
         # a nonzero constant has no adjacent pair to compare
         assert signs_alternate(IntPolynomial([5]))
         assert signs_alternate(IntPolynomial([-5]))

@@ -1,81 +1,89 @@
 """Command-line surface: rendering, schemas, exit codes, determinism."""
 
+import ast
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from conftest import fresh_json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairsum.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+
+def run(argv):
+    """(exit code, stdout, stderr) of main in this process; argv is a list of
+    arguments or a string of them separated by blanks."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv.split() if isinstance(argv, str) else argv)
+        except SystemExit as exc:  # argparse reports its own usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def report(argv, code=0):
+    """The json stdout of argv, which must exit with the given code."""
+    got, out, err = run(f"{argv} --format json")
+    assert got == code, err
+    return json.loads(out)
+
+
+def usage_error(argv):
+    """The stderr of argv, which must be a usage error: exit 2, empty stdout."""
+    code, out, err = run(argv)
+    assert (code, out) == (2, ""), err
+    return err
 
 
 class TestCharpoly:
-    def test_text(self, capsys):
-        code, out, _ = run(capsys, "charpoly", "--n", "3")
-        assert code == 0
-        assert out.strip() == "t^3 - 9t^2 + 27t - 27"
+    def test_text(self):
+        assert run("charpoly --n 3") == (0, "t^3 - 9t^2 + 27t - 27\n", "")
 
-    def test_json_schema(self, capsys):
-        code, out, _ = run(capsys, "charpoly", "--n", "2", "--format", "json")
-        assert code == 0
-        assert json.loads(out) == {
-            "n": 2,
-            "mode": "corrected",
-            "coeffs": ["6", "-5", "1"],
-        }
+    def test_json_schema(self):
+        payload = {"n": 2, "mode": "corrected", "coeffs": ["6", "-5", "1"]}
+        assert report("charpoly --n 2") == payload
 
-    def test_latex(self, capsys):
-        code, out, _ = run(capsys, "charpoly", "--n", "2", "--format", "latex")
-        assert code == 0
-        assert out.strip() == "\\[ \\chi_{2}(t) = t^2 - 5t + 6 \\]"
+    def test_latex(self):
+        latex = "\\[ \\chi_{2}(t) = t^2 - 5t + 6 \\]\n"
+        assert run("charpoly --n 2 --format latex")[:2] == (0, latex)
 
-    def test_n_beyond_configured_max(self, capsys):
-        code, out, _ = run(capsys, "charpoly", "--n", "5", "--max-n", "5")
-        assert code == 0
+    def test_n_beyond_configured_max(self):
+        assert run("charpoly --n 5 --max-n 5")[0] == 0
 
-    def test_paper_mode(self, capsys):
-        code, out, _ = run(capsys, "charpoly", "--n", "5", "--mode", "paper")
-        assert code == 0
-        assert out.strip() == "t^5 - 20t^4 + 165t^3 - 695t^2 + 1480t - 1253"
+    def test_paper_mode(self):
+        out = run("charpoly --n 5 --mode paper")[1]
+        assert out == "t^5 - 20t^4 + 165t^3 - 695t^2 + 1480t - 1253\n"
 
 
 class TestChambers:
-    def test_text(self, capsys):
-        code, out, _ = run(capsys, "chambers", "--n", "2")
+    def test_text(self):
+        code, out, _ = run("chambers --n 2")
         assert code == 0
         assert "chambers (total): 12" in out
         assert "relatively bounded chambers: 2" in out
 
-    def test_json(self, capsys):
-        code, out, _ = run(capsys, "chambers", "--n", "3", "--format", "json")
-        assert code == 0
-        assert json.loads(out) == {
-            "n": 3,
-            "mode": "corrected",
-            "total": "64",
-            "bounded": "8",
-        }
+    def test_json(self):
+        payload = {"n": 3, "mode": "corrected", "total": "64", "bounded": "8"}
+        assert report("chambers --n 3") == payload
 
 
 class TestTable:
-    def test_small_table_matches_published_through_three(self, capsys):
-        code, out, _ = run(capsys, "table", "--to", "4", "--format", "json")
-        assert code == 0
-        rows = json.loads(out)["rows"]
+    def test_small_table_matches_published_through_three(self):
+        rows = report("table --to 4")["rows"]
         assert rows[0]["published"]["matches"] is True
         assert rows[1]["published"]["matches"] is True
         # rank 4: the published row fails Zaslavsky positivity and is
@@ -84,20 +92,19 @@ class TestTable:
         powers = {d["power"] for d in rows[2]["published"]["polynomial_differences"]}
         assert powers == {0, 1}
 
-    def test_deterministic_output(self, capsys):
-        _, first, _ = run(capsys, "table", "--to", "6", "--mode", "paper", "--format", "json")
-        _, second, _ = run(capsys, "table", "--to", "6", "--mode", "paper", "--format", "json")
-        assert first == second
+    def test_deterministic_output(self):
+        assert run("table --to 6 --mode paper --format json") == run(
+            "table --to 6 --mode paper --format json"
+        )
 
-    def test_latex_layout(self, capsys):
-        code, out, _ = run(capsys, "table", "--to", "3", "--format", "latex")
+    def test_latex_layout(self):
+        code, out, _ = run("table --to 3 --format latex")
         assert code == 0
         assert "\\[ \\chi_{2}(t) = t^2 - 5t + 6 \\]" in out
         assert "\\begin{array}" in out
 
-    def test_json_roundtrip(self, capsys):
-        _, out, _ = run(capsys, "table", "--to", "5", "--format", "json")
-        payload = json.loads(out)
+    def test_json_roundtrip(self):
+        payload = report("table --to 5")
         assert json.loads(json.dumps(payload)) == payload
 
     @pytest.mark.parametrize(
@@ -107,21 +114,17 @@ class TestTable:
             ("paper", "875730a7904c25dc25549b659b460f5e810e7732800c483fb1e48acb70bb95b8"),
         ],
     )
-    def test_pinned_output_through_sixteen(self, capsys, mode, digest):
+    def test_pinned_output_through_sixteen(self, mode, digest):
         # sha256 of the complete stdout; any change to a coefficient, a
         # chamber count or the rendering shows up here
-        code, out, _ = run(
-            capsys, "table", "--to", "16", "--max-n", "16", "--mode", mode, "--format", "json"
-        )
+        code, out, _ = run(f"table --to 16 --max-n 16 --mode {mode} --format json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestBipartite:
-    def test_rows_with_census(self, capsys):
-        code, out, _ = run(capsys, "bipartite", "--to", "6", "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
+    def test_rows_with_census(self):
+        payload = report("bipartite --to 6")
         assert payload["census_included"] is True
         assert payload["census_matches"] is True
         by_key = {(row["n"], row["k"]): row for row in payload["rows"]}
@@ -129,118 +132,69 @@ class TestBipartite:
         assert by_key[(4, 3)]["count"] == "16"
         assert by_key[(5, 6)]["count"] == by_key[(5, 6)]["census"]
 
-    def test_formula_only_beyond_six(self, capsys):
-        code, out, _ = run(capsys, "bipartite", "--to", "8", "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
+    def test_formula_only_beyond_six(self):
+        payload = report("bipartite --to 8")
         assert payload["census_included"] is False
         assert all("census" not in row for row in payload["rows"])
 
 
 class TestVerify:
-    def test_rank_three_all_pass(self, capsys):
-        code, out, _ = run(capsys, "verify", "--n", "3")
+    def test_rank_three_all_pass(self):
+        code, out, _ = run("verify --n 3")
         assert code == 0
         assert "(PASS)" in out
 
-    def test_rank_five_report_records_divergences(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--n", "5", "--oracles", "whitney", "--format", "json"
-        )
-        assert code == 0  # corrected mode passes; paper divergence is recorded
-        report = json.loads(out)
-        whitney = report["oracles"]["whitney"]
+    def test_rank_five_report_records_divergences(self):
+        # corrected mode passes; paper divergence is recorded
+        verdict = report("verify --n 5 --oracles whitney")
+        whitney = verdict["oracles"]["whitney"]
         assert whitney["corrected"]["result"] == "PASS"
         assert whitney["paper"]["result"] == "DIVERGENT"
         assert whitney["paper"]["differences"] == [
             {"power": 0, "computed": "-1253", "published": "-1263"}
         ]
         assert whitney["published_vs_oracle"]["result"] == "DIVERGENT"
-        assert report["published"]["paper"]["result"] == "DIVERGENT"
-        assert report["result"] == "PASS"
+        assert verdict["published"]["paper"]["result"] == "DIVERGENT"
+        assert verdict["result"] == "PASS"
 
-    def test_graphs_oracle(self, capsys):
+    def test_graphs_oracle(self):
         from pairsum.oracle import GRAPH_FAMILIES
 
-        code, out, _ = run(
-            capsys, "verify", "--n", "6", "--oracles", "graphs", "--format", "json"
-        )
-        assert code == 0
-        checks = json.loads(out)["oracles"]["graphs"]["checks"]
+        checks = report("verify --n 6 --oracles graphs")["oracles"]["graphs"]["checks"]
         # one check per census family, in the order and by the names of the map
         assert [c["name"] for c in checks] == list(GRAPH_FAMILIES)
         assert [c["result"] for c in checks] == ["PASS"] * 4
 
-    def test_oracle_guard_reported_not_fatal(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "verify",
-            "--n",
-            "6",
-            "--oracles",
-            "whitney,graphs",
-            "--primes",
-            "5",
-            "--format",
-            "json",
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert report["oracles"]["whitney"]["status"] == "skipped"
-        assert report["oracles"]["graphs"]["status"] == "ran"
+    def test_oracle_guard_reported_not_fatal(self):
+        oracles = report("verify --n 6 --oracles whitney,graphs --primes 5")["oracles"]
+        assert oracles["whitney"]["status"] == "skipped"
+        assert oracles["graphs"]["status"] == "ran"
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_workers_below_one_is_usage_error(self, capsys, workers):
-        code, out, err = run(capsys, "verify", "--n", "2", "--workers", workers)
-        assert code == 2
-        assert out == ""
-        assert "--workers must be at least 1" in err
+    def test_workers_below_one_is_usage_error(self, workers):
+        assert "--workers must be at least 1" in usage_error(f"verify --n 2 --workers {workers}")
 
-    def test_report_echoes_requested_workers(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--n", "2", "--oracles", "ffield", "--workers", "64",
-            "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["workers"] == 64
+    def test_report_echoes_requested_workers(self):
+        assert report("verify --n 2 --oracles ffield --workers 64")["workers"] == 64
 
-    def test_unknown_oracle(self, capsys):
-        code, _, err = run(capsys, "verify", "--n", "3", "--oracles", "psychic")
-        assert code == 2
-        assert "psychic" in err
+    def test_unknown_oracle(self):
+        assert "psychic" in usage_error("verify --n 3 --oracles psychic")
 
     @pytest.mark.parametrize("oracles", [",", " "])
-    def test_oracles_naming_none_is_usage_error(self, capsys, oracles):
-        code, out, err = run(capsys, "verify", "--n", "3", "--oracles", oracles)
-        assert code == 2
-        assert out == ""
+    def test_oracles_naming_none_is_usage_error(self, oracles):
+        err = usage_error(["verify", "--n", "3", "--oracles", oracles])
         assert err == "pairsum: error: --oracles must name at least one oracle\n"
 
-    def test_blank_oracle_items_are_dropped(self, capsys):
-        blank = run(capsys, "verify", "--n", "3", "--oracles", " ,whitney")
+    def test_blank_oracle_items_are_dropped(self):
+        blank = run(["verify", "--n", "3", "--oracles", " ,whitney"])
         assert blank[0] == 0
-        assert blank == run(capsys, "verify", "--n", "3", "--oracles", "whitney")
+        assert blank == run("verify --n 3 --oracles whitney")
 
-    def test_deterministic_report(self, capsys):
-        _, first, _ = run(capsys, "verify", "--n", "4", "--format", "json")
-        _, second, _ = run(capsys, "verify", "--n", "4", "--format", "json")
-        assert first == second
+    def test_deterministic_report(self):
+        assert run("verify --n 4 --format json") == run("verify --n 4 --format json")
 
-    def test_custom_primes(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "verify",
-            "--n",
-            "2",
-            "--oracles",
-            "ffield",
-            "--primes",
-            "5,7",
-            "--format",
-            "json",
-        )
-        assert code == 0
-        rows = json.loads(out)["oracles"]["ffield"]["primes"]
+    def test_custom_primes(self):
+        rows = report("verify --n 2 --oracles ffield --primes 5,7")["oracles"]["ffield"]["primes"]
         assert [row["q"] for row in rows] == [5, 7]
 
     @pytest.fixture
@@ -254,31 +208,22 @@ class TestVerify:
         monkeypatch.setattr(oracle_module, "finite_field_count", no_work)
         monkeypatch.setattr(charpoly_module, "chi", no_work)
 
-    def test_repeated_prime_is_usage_error(self, capsys, no_work):
-        code, out, err = run(
-            capsys, "verify", "--n", "2", "--oracles", "ffield", "--primes", "5,5,7"
-        )
-        assert code == 2
-        assert out == ""
-        assert "--primes repeats 5" in err
+    def test_repeated_prime_is_usage_error(self, no_work):
+        assert "--primes repeats 5" in usage_error("verify --n 2 --oracles ffield --primes 5,5,7")
 
-    def test_repeat_in_a_long_prime_list_is_usage_error(self, capsys, no_work):
+    def test_repeat_in_a_long_prime_list_is_usage_error(self, no_work):
         # 20,000 items, about as many as one 128 KiB argument holds: the
         # repeats are counted in one pass, not one list scan per item
         primes = ",".join(map(str, [*range(10000, 29999), 10000]))
-        code, out, err = run(capsys, "verify", "--n", "1", "--primes", primes)
-        assert code == 2
-        assert out == ""
+        err = usage_error(f"verify --n 1 --primes {primes}")
         assert "--primes repeats 10000; list each prime once" in err
 
     @pytest.mark.parametrize(
         "oracles, repeated",
         [("whitney,whitney", "whitney"), ("graphs,ffield,graphs,ffield", "ffield, graphs")],
     )
-    def test_repeated_oracle_is_usage_error(self, capsys, no_work, oracles, repeated):
-        code, out, err = run(capsys, "verify", "--n", "5", "--oracles", oracles)
-        assert code == 2
-        assert out == ""
+    def test_repeated_oracle_is_usage_error(self, no_work, oracles, repeated):
+        err = usage_error(f"verify --n 5 --oracles {oracles}")
         assert f"--oracles repeats {repeated}; list each oracle once" in err
 
     # the item a malformed list names: blank, or not a sign and ASCII digits
@@ -289,12 +234,8 @@ class TestVerify:
         "primes",
         ["4,6,8", "5,9", "3", "1,7", "-5", "5,2147483659", "", " ", "5,,7", "1_1", "\u0667"],
     )
-    def test_prime_below_five_or_composite_is_usage_error(self, capsys, no_work, primes):
-        code, out, err = run(
-            capsys, "verify", "--n", "2", "--oracles", "ffield", "--primes", primes
-        )
-        assert code == 2
-        assert out == ""
+    def test_prime_below_five_or_composite_is_usage_error(self, no_work, primes):
+        err = usage_error(["verify", "--n", "2", "--oracles", "ffield", "--primes", primes])
         if primes in self.MALFORMED:
             assert "--primes must be a comma-separated integer list" in err
             assert self.MALFORMED[primes] in err
@@ -313,72 +254,42 @@ class TestVerify:
         assert proc.stdout == ""
         assert "--primes must list primes at least 5" in proc.stderr
 
-    def test_given_primes_are_all_counted(self, capsys):
+    def test_given_primes_are_all_counted(self):
         # given primes are all counted, however large q^n is
-        code, out, _ = run(
-            capsys, "verify", "--n", "7", "--oracles", "ffield", "--max-n", "7",
-            "--primes", "29,31,37", "--format", "json",
-        )
-        assert code == 0
-        report = json.loads(out)
+        verdict = report("verify --n 7 --oracles ffield --max-n 7 --primes 29,31,37")
         assert [
             (row["q"], row["status"], row["corrected"])
-            for row in report["oracles"]["ffield"]["primes"]
+            for row in verdict["oracles"]["ffield"]["primes"]
         ] == [(29, "ran", "PASS"), (31, "ran", "PASS"), (37, "ran", "PASS")]
-        assert report["result"] == "PASS"
+        assert verdict["result"] == "PASS"
 
-    def test_given_primes_rebuild_chi_at_rank_twelve(self, capsys):
+    def test_given_primes_rebuild_chi_at_rank_twelve(self):
         code, out, _ = run(
-            capsys, "verify", "--n", "12", "--max-n", "12", "--oracles", "ffield",
-            "--primes", "5,7,11,13,17,19,23,29,31,37,41,43,47",
+            "verify --n 12 --max-n 12 --oracles ffield "
+            "--primes 5,7,11,13,17,19,23,29,31,37,41,43,47"
         )
         assert code == 0
         assert out.startswith("verify n=12 (PASS)")
         assert "ffield interpolation: corrected=PASS paper=DIVERGENT" in out
 
-    def test_default_primes_check_rank_seven(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--n", "7", "--oracles", "ffield", "--max-n", "7",
-            "--format", "json",
-        )
-        assert code == 0
-        section = json.loads(out)["oracles"]["ffield"]
-        assert [(row["q"], row["corrected"]) for row in section["primes"]] == [
-            (q, "PASS") for q in (5, 7, 11, 13, 17, 19, 23, 29)
-        ]
-        assert section["interpolation"]["result"] == "PASS"
-
-    def test_default_primes_at_rank_twelve_are_thirteen(self, capsys):
-        # the defaults are the first n + 1 primes from 5 at any n
-        code, out, _ = run(
-            capsys, "verify", "--n", "12", "--oracles", "ffield", "--format", "json"
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert len(report["oracles"]["ffield"]["primes"]) == 13
-        assert report["result"] == "PASS"
-
-    @pytest.mark.parametrize("n", [6, 12, 40])
-    def test_default_primes_rebuild_chi(self, capsys, n):
+    @pytest.mark.parametrize("n", [6, 7, 12, 40])
+    def test_default_primes_rebuild_chi(self, n):
+        # the defaults are the first n + 1 primes from 5, and each one passes
         from pairsum.charpoly import chi
+        from pairsum.oracle import default_verification_primes
 
-        code, out, _ = run(
-            capsys, "verify", "--n", str(n), "--max-n", str(n), "--format", "json"
-        )
-        assert code == 0
-        section = json.loads(out)["oracles"]["ffield"]
+        section = report(f"verify --n {n} --max-n {n}")["oracles"]["ffield"]
+        assert [(row["q"], row["corrected"]) for row in section["primes"]] == [
+            (q, "PASS") for q in default_verification_primes(n)
+        ]
         assert len(section["primes"]) == n + 1
+        assert section["interpolation"]["result"] == "PASS"
         assert section["interpolation"]["coeffs"] == [str(c) for c in chi(n).coeffs]
 
-    def test_guard_reasons(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--n", "7", "--oracles", "whitney,graphs", "--max-n", "7",
-            "--format", "json",
-        )
-        assert code == 1
-        report = json.loads(out)
-        assert report["result"] == "SKIPPED"
-        oracles = report["oracles"]
+    def test_guard_reasons(self):
+        verdict = report("verify --n 7 --oracles whitney,graphs --max-n 7", code=1)
+        assert verdict["result"] == "SKIPPED"
+        oracles = verdict["oracles"]
         assert oracles["whitney"]["reason"] == (
             "whitney oracle enumerates all wall subsets and is guarded at n <= 5"
         )
@@ -386,15 +297,15 @@ class TestVerify:
             "graph census enumerates all 2^C(n,2) graphs and is guarded at n <= 6"
         )
 
-    def test_nothing_checked_text_report(self, capsys):
-        code, out, _ = run(capsys, "verify", "--n", "6", "--oracles", "whitney")
+    def test_nothing_checked_text_report(self):
+        code, out, _ = run("verify --n 6 --oracles whitney")
         assert code == 1
         assert out.startswith("verify n=6 (SKIPPED)")
         assert "whitney: skipped" in out
 
 
 class TestFailureExitCodes:
-    def test_verify_fails_when_corrected_mode_disagrees(self, capsys, monkeypatch):
+    def test_verify_fails_when_corrected_mode_disagrees(self, monkeypatch):
         # force an oracle disagreement to exercise the exit-1 contract
         import pairsum.oracle as oracle_module
         from pairsum.charpoly import IntPolynomial
@@ -402,7 +313,7 @@ class TestFailureExitCodes:
         monkeypatch.setattr(
             oracle_module, "whitney_chi", lambda n: IntPolynomial([0, 1])
         )
-        code, out, _ = run(capsys, "verify", "--n", "2", "--oracles", "whitney")
+        code, out, _ = run("verify --n 2 --oracles whitney")
         assert code == 1
         # the whole report: no digest pins a failing one
         assert out == (
@@ -417,7 +328,7 @@ class TestFailureExitCodes:
             "  whitney vs published: DIVERGENT\n"
         )
 
-    def test_bipartite_mismatch_sets_exit_one(self, capsys, monkeypatch):
+    def test_bipartite_mismatch_sets_exit_one(self, monkeypatch):
         import pairsum.graphcounts as graphcounts_module
 
         monkeypatch.setattr(
@@ -425,7 +336,7 @@ class TestFailureExitCodes:
             "connected_bipartite_table",
             lambda n: [{}, {}, {(1, 0): 7}],
         )
-        code, out, _ = run(capsys, "bipartite", "--to", "2")
+        code, out, _ = run("bipartite --to 2")
         assert code == 1
         assert out == (
             "connected labeled bipartite graphs by (order, size)\n"
@@ -433,7 +344,7 @@ class TestFailureExitCodes:
             "census comparison: FAIL\n"
         )
 
-    def test_verify_fails_when_a_point_count_disagrees(self, capsys, monkeypatch):
+    def test_verify_fails_when_a_point_count_disagrees(self, monkeypatch):
         # one count off by one: that prime fails, and the four samples no
         # longer interpolate to integer coefficients
         import pairsum.oracle as oracle_module
@@ -442,9 +353,7 @@ class TestFailureExitCodes:
         monkeypatch.setattr(
             oracle_module, "finite_field_count", lambda n, q: count(n, q) + (1 if q == 7 else 0)
         )
-        code, out, _ = run(
-            capsys, "verify", "--n", "3", "--oracles", "ffield", "--primes", "5,7,11,13"
-        )
+        code, out, _ = run("verify --n 3 --oracles ffield --primes 5,7,11,13")
         assert code == 1
         # the whole report: no digest pins a failing one
         assert out == (
@@ -511,16 +420,13 @@ class TestFailureExitCodes:
 
 
 class TestParser:
-    def test_usage_error_exit_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["charpoly"])  # missing --n
-        assert exc.value.code == 2
+    def test_usage_error_exit_two(self):
+        assert run("charpoly")[0] == 2  # missing --n
 
-    def test_version(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--version"])
-        assert exc.value.code == 0
-        assert "pairsum" in capsys.readouterr().out
+    def test_version(self):
+        code, out, _ = run("--version")
+        assert code == 0
+        assert "pairsum" in out
 
     @pytest.mark.parametrize(
         "argv, low",
@@ -538,12 +444,9 @@ class TestParser:
             for max_n in ("0", "-1")
         ],
     )
-    def test_max_n_below_lowest_value_names_the_bound(self, capsys, argv, low):
+    def test_max_n_below_lowest_value_names_the_bound(self, argv, low):
         # the bound named is the command's lowest size, also below 1
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err == f"pairsum: error: --max-n must be at least {low}\n"
+        assert usage_error(argv) == f"pairsum: error: --max-n must be at least {low}\n"
 
     @pytest.mark.parametrize(
         "command, flag, low",
@@ -556,13 +459,11 @@ class TestParser:
         ],
     )
     @pytest.mark.parametrize("side", ["below", "above"])
-    def test_size_outside_the_rule_is_usage_error(self, capsys, command, flag, low, side):
+    def test_size_outside_the_rule_is_usage_error(self, command, flag, low, side):
         # main checks every command's size rule before the command runs;
         # bipartite has no --max-n, but the same default cap of 12
         value = low - 1 if side == "below" else 13
-        code, out, err = run(capsys, command, flag, str(value))
-        assert code == 2
-        assert out == ""
+        err = usage_error(f"{command} {flag} {value}")
         assert err == f"pairsum: error: {flag} must be between {low} and 12\n"
 
     @pytest.mark.parametrize("value", ["1_2", "\u0667"])
@@ -577,9 +478,7 @@ class TestParser:
     )
     def test_integer_beyond_a_sign_and_ascii_digits_is_usage_error(self, argv, flag, value):
         # int() reads 1_2 as 12 and the Arabic-Indic seven as 7; the CLI reads neither
-        code, out, err = _run_in_process([*argv, flag, value])
-        assert code == 2
-        assert out == ""
+        err = usage_error([*argv, flag, value])
         assert f"argument {flag}: invalid integer value: {value!r}" in err
 
     @pytest.mark.parametrize(
@@ -588,10 +487,7 @@ class TestParser:
     def test_more_digits_than_int_converts_is_usage_error(self, argv):
         # 4,301 digits: past int()'s default digit limit, or past the size
         # or prime bound on a Python that has no such limit
-        code, out, err = _run_in_process([*argv, "7" * 4301])
-        assert code == 2
-        assert out == ""
-        assert "error:" in err
+        assert "error:" in usage_error([*argv, "7" * 4301])
 
     def test_mode_choices_are_the_mode_values(self):
         # every --mode the parser builds offers the values of Mode, in its order;
@@ -628,11 +524,11 @@ class TestParser:
          "1fe6760a312fd3bbf8108377556b1dac0781496e99afa52c113d2ea521234179"),
     ],
 )
-def test_pinned_text_and_latex_output(capsys, argv, digest):
+def test_pinned_text_and_latex_output(argv, digest):
     # sha256 of the complete stdout of the text report of verify, which no
     # digest of bench/digests.json pins: at n = 5 with every oracle run, and
     # at n = 7 with the subset scan skipped and the point counts interpolated
-    code, out, _ = run(capsys, *argv.split())
+    code, out, _ = run(argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -684,12 +580,7 @@ print(json.dumps({
 
 
 def test_commands_import_only_the_modules_they_run():
-    proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_IMPORT_SCRIPT],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    report = fresh_json(_LAZY_IMPORT_SCRIPT)
     # the CLI module itself loads no pipeline, so --help and the parser's
     # usage errors run none of it; bipartite needs the graph tables, not Gamma
     assert report["loaded_by_import"] == []
@@ -767,20 +658,10 @@ def _cli_argv(draw):
     return argv
 
 
-def _run_in_process(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse reports its own usage errors
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_cli_argv())
 def test_cli_contract_on_generated_argv(argv):
-    code, out, err = _run_in_process(argv)
+    code, out, err = run(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, argv
     if code == 2:
@@ -790,18 +671,77 @@ def test_cli_contract_on_generated_argv(argv):
         formats = [argv[i + 1] for i, a in enumerate(argv[:-1]) if a == "--format"]
         if formats and formats[-1] == "json":
             json.loads(out)
-    assert _run_in_process(argv) == (code, out, err), argv
+    assert run(argv) == (code, out, err), argv
 
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="the script is a bash script")
 def test_ci_checks_script_parses_and_the_workflow_runs_it():
     # CI runs the script, and nothing else here does: a syntax error in it
     # fails tier-1 on every Python instead of only the CI run
-    root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        ["bash", "-n", str(root / "tools" / "ci_checks.sh")],
+        ["bash", "-n", str(ROOT / "tools" / "ci_checks.sh")],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
     assert "bash tools/ci_checks.sh" in workflow
+
+
+def test_mutation_sites_are_stable_and_every_mutant_compiles():
+    # the mutation run itself takes many minutes and stays out of CI; this
+    # checks what it reads: its sites, their mutants and its test files
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    for module, files in mutants.MODULES.items():
+        assert all((ROOT / name).is_file() for name in files), module
+        source = (ROOT / "src" / "pairsum" / f"{module}.py").read_bytes()
+        sites = mutants.sites(source)
+        assert sites and sites == mutants.sites(source), module
+        tree = ast.parse(source)
+        docstrings = {
+            line for node in ast.walk(tree)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            for line in range(node.lineno, node.end_lineno + 1)
+        }
+        # each mutant changes one top-level statement: compiling that one is enough
+        starts = [0, *accumulate(map(len, source.splitlines(keepends=True)))]
+        statements = [
+            (starts[min([n.lineno, *(d.lineno for d in getattr(n, "decorator_list", ()))]) - 1],
+             starts[n.end_lineno])
+            for n in tree.body
+        ]
+        for offset, line, _, original, mutated in sites:
+            assert mutants.mutate(source, offset, original, mutated) != source, (module, line)
+            assert line not in docstrings, (module, line)
+            low, high = next((low, high) for low, high in statements if low <= offset < high)
+            statement = mutants.mutate(source[low:high], offset - low, original, mutated)
+            compile(statement, module, "exec")
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # CI runs Python 3.10 to 3.13: newer syntax would fail only on the 3.10 leg
+    for folder in ("src", "tests", "tools"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            ast.parse(path.read_bytes(), str(path), feature_version=(3, 10))
+
+
+_BIG_COEFFICIENT_SCRIPT = """
+from pairsum import charpoly, cli
+from pairsum.polynomial import IntPolynomial
+charpoly.chi = lambda n, mode: IntPolynomial([-(7**900), 3**1500, 1])  # 761 and 716 digits
+for fmt in ("text", "json", "latex"):
+    assert cli.main(["charpoly", "--n", "2", "--format", fmt]) == 0
+"""
+
+
+def test_integers_print_past_the_int_to_str_digit_limit():
+    # the limit guards the parsing of input, not the printing of results
+    runs = [
+        subprocess.run([sys.executable, *flags, "-c", _BIG_COEFFICIENT_SCRIPT],
+                       capture_output=True, text=True, timeout=60)
+        for flags in ([], ["-X", "int_max_str_digits=640"])
+    ]
+    assert [proc.returncode for proc in runs] == [0, 0], runs[1].stderr
+    assert runs[1].stdout == runs[0].stdout
+    assert runs[0].stdout.startswith(f"t^2 + {3**1500}t - {7**900}\n")

@@ -34,12 +34,19 @@ class TestCountTable:
     def test_negative_rejected(self):
         with pytest.raises(ConsistencyError, match="negative count -1 at \\(1, 2\\)"):
             count_table([{}, {(2, 0): -1}])
+        assert count_table([{}, {(2, 0): 0}])[(1, 2)] == 0  # zero is a count
 
 
 class TestBicoloredSeries:
     def test_requires_flat_caps(self):
         with pytest.raises(ValueError):
             bicolored_series(TruncationCaps(2, 2, 1))
+
+    def test_caps(self):
+        # every edge plus one color wall per vertex; a view keeps sizes up to dy
+        assert default_caps(0) == TruncationCaps(0, 0, 0)
+        assert default_caps(4) == TruncationCaps(4, 10, 0)
+        assert bicolored_series(TruncationCaps(2, 1, 0)).coefficient(2, 1) == 1
 
     def test_single_vertex(self):
         # both colorings of a single vertex: coefficient 2/1!

@@ -1,16 +1,12 @@
 """Brute-force oracles: arrangement construction, exact centrality, subset
 expansion, finite-field counting and the graph census."""
 
-import json
-import subprocess
-import sys
-from collections import deque
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from math import comb, gcd, lcm
+from math import comb
 
 import pytest
+from conftest import components, fresh_json, rational_echelon
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,61 +114,17 @@ def census_unmerged(n):
     return counts
 
 
-def rational_echelon(rows, ncols):
-    """(pivot, row) pairs of the reduced row echelon form of rows over the
-    rationals, each row scaled to coprime integers with a positive pivot.  A
-    pivot at ncols, the constant column, means the rows share no point."""
-    matrix = [[Fraction(a) for a in row] for row in rows]
-    pivots = []
-    for col in range(ncols + 1):
-        top = len(pivots)
-        pick = next((i for i in range(top, len(matrix)) if matrix[i][col]), None)
-        if pick is None:
-            continue
-        matrix[top], matrix[pick] = matrix[pick], matrix[top]
-        matrix[top] = [a / matrix[top][col] for a in matrix[top]]
-        for i, other in enumerate(matrix):
-            if i != top and other[col]:
-                matrix[i] = [a - other[col] * b for a, b in zip(other, matrix[top])]
-        pivots.append(col)
-    out = []
-    for col, row in zip(pivots, matrix):
-        ints = [int(a * lcm(*(b.denominator for b in row))) for a in row]
-        out.append((col, tuple(a // gcd(*ints) for a in ints)))
-    return out
-
-
 def classify_by_search(n):
     """Every labeled graph on [n] by breadth-first search: counts keyed by
     (edges, components, bipartite components, isolated vertices)."""
-    edges = list(combinations(range(n), 2))
+    slots = list(combinations(range(n), 2))
     counts = {}
-    for mask in range(2 ** len(edges)):
-        neighbours = {v: [] for v in range(n)}
-        for k, (u, v) in enumerate(edges):
-            if mask >> k & 1:
-                neighbours[u].append(v)
-                neighbours[v].append(u)
-        colour = {}
-        components = bipartite = 0
-        for root in range(n):
-            if root in colour:
-                continue
-            components += 1
-            colour[root] = 0
-            proper = True
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for w in neighbours[u]:
-                    if w not in colour:
-                        colour[w] = 1 - colour[u]
-                        queue.append(w)
-                    elif colour[w] == colour[u]:
-                        proper = False
-            bipartite += proper
-        isolated = sum(not neighbours[v] for v in range(n))
-        key = (bin(mask).count("1"), components, bipartite, isolated)
+    for mask in range(2 ** len(slots)):
+        edges = [edge for k, edge in enumerate(slots) if mask >> k & 1]
+        parts = components(n, edges)
+        bipartite = sum(proper for _, proper in parts)
+        isolated = sum(len(members) == 1 for members, _ in parts)
+        key = (len(edges), len(parts), bipartite, isolated)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -196,14 +148,6 @@ class TestBuildArrangement:
             (1, 0, 1, 1),
             (0, 1, 1, 1),
         ]
-
-    def test_normals(self):
-        # every labelled wall is a row, once
-        labels = ["x1+x2=1", "x1+x3=1", "x2+x3=1", "x1=0", "x2=0", "x3=0",
-                  "x1=1", "x2=1", "x3=1"]
-        assert wall(3, "x1+x3=1") == (1, 0, 1, 1)
-        assert wall(3, "x2=0") == (0, 1, 0, 0)
-        assert sorted(_arrangement_rows(3)) == sorted(wall(3, label) for label in labels)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
@@ -294,13 +238,7 @@ class TestFiniteFieldCount:
     def test_matches_whitney_for_small_ranks(self):
         for n in range(1, 5):
             poly = whitney_chi(n)
-            for q in (5, 7, 11, 13):
-                assert finite_field_count(n, q) == poly(q), (n, q)
-
-    def test_matches_whitney_at_verification_primes(self):
-        for n in range(1, 5):
-            poly = whitney_chi(n)
-            for q in (23, 29, 31):
+            for q in (5, 7, 11, 13, 23, 29, 31):
                 assert finite_field_count(n, q) == poly(q), (n, q)
 
     def test_rank_six_pipeline_beyond_whitney_reach(self):
@@ -395,9 +333,13 @@ class TestFiniteFieldCount:
 
     def test_primality_rejects_pseudoprimes(self):
         # 25,326,001 = 2251 * 11251 is a strong pseudoprime to the bases 2, 3
-        # and 5, which base 7 exposes; 561 and 1105 are Carmichael numbers
+        # and 5, which base 7 exposes; 561 and 1105 are Carmichael numbers.
+        # Each base counts: 1,024,651 = 19 * 199 * 271 passes 3, 5 and 7,
+        # 746,331,041 = 15773 * 47317 passes 2, 4, 5 and 7, and
+        # 2,284,453 = 1069 * 2137 passes 2, 3, 6 and 7
         assert 2251 * 11251 == 25_326_001
-        for q in (25_326_001, 561, 1105):
+        assert (19 * 199 * 271, 15773 * 47317, 1069 * 2137) == (1_024_651, 746_331_041, 2_284_453)
+        for q in (25_326_001, 561, 1105, 1_024_651, 746_331_041, 2_284_453):
             assert not _is_prime(q), q
         assert _is_prime(2**31 - 1)
 
@@ -453,6 +395,10 @@ class TestInterpolation:
         points = [(5, 6), (7, 20), (5, 6), (11, 72)]
         assert interpolate_counts(points, 2) == IntPolynomial([6, -5, 1])
 
+    def test_constant_samples_have_degree_zero(self):
+        assert interpolate_counts([(5, 7), (7, 7)], 0) == IntPolynomial([7])
+        assert interpolate_counts([(5, 0)], 0) == IntPolynomial([0])
+
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="at least"):
             interpolate_counts([(5, 1), (7, 2)], 2)
@@ -467,19 +413,11 @@ class TestInterpolation:
         assert interpolated_chi(3, (5, 7, 11, 13)) == whitney_chi(3)
         assert interpolated_chi(4, (5, 7, 11, 13, 17)) == whitney_chi(4)
 
-    def test_interpolated_chi_validates_rank_six_coefficients(self):
-        # full coefficient check of the rank-6 polynomial, beyond the
-        # subset expansion's reach
-        from pairsum.central import Mode
-        from pairsum.charpoly import chi
-
-        primes = (5, 7, 11, 13, 17, 19, 23)
-        assert interpolated_chi(6, primes) == chi(6, Mode.CORRECTED)
-
     def test_interpolated_chi_rebuilds_chi_up_to_rank_twelve(self):
+        # every coefficient from rank 6, past the subset expansion's reach;
         # the count visits no points, so any prime serves at any n
         field = [q for q in FIELD_PRIMES if q <= 47]
-        for n in range(7, 13):
+        for n in range(6, 13):
             assert interpolated_chi(n, field[: n + 1]) == chi(n), n
 
     @pytest.mark.parametrize("n", [20, 40, 60, 100])
@@ -646,12 +584,7 @@ class TestIndependence:
         # an oracle checks the pipeline only if it shares none of its code;
         # the oracles, interpolation included, work in plain integers, so
         # neither fractions nor decimal or numbers is loaded either
-        proc = subprocess.run(
-            [sys.executable, "-c", _INDEPENDENCE_SCRIPT],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
+        report = fresh_json(_INDEPENDENCE_SCRIPT)
         assert report["loaded"] == {
             "import pairsum.oracle": [],
             "import pairsum.published": [],

@@ -7,6 +7,10 @@
 #
 # It runs `python` from PATH against the source tree and stops at the first
 # failing check.  Its last line says that every check passed.
+#
+# The mutation run, `python tools/mutants.py`, takes about 13 minutes on two
+# vCPUs, too long for this script; tier-1 checks what it reads
+# (tests/test_cli.py::test_mutation_sites_are_stable_and_every_mutant_compiles).
 set -euo pipefail
 trap 'echo "ci_checks: FAILED at line $LINENO: $BASH_COMMAND" >&2' ERR
 cd "$(dirname "$0")/.."

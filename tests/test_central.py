@@ -114,6 +114,12 @@ class TestGamma1:
     def test_modes_agree_through_order_four(self):
         assert factor(1, 5, Mode.PAPER)[:5] == factor(1, 5, Mode.CORRECTED)[:5]
 
+    def test_order_five_divergence(self):
+        # triangle plus disjoint edge: C(5,3) = 10 graphs, misclassified by
+        # the published variant, absent from the corrected one
+        assert factor(1, 5, Mode.PAPER)[5][(4, 0)] == 10
+        assert factor(1, 5, Mode.CORRECTED)[5].get((4, 0), 0) == 0
+
     def test_no_z_terms(self):
         for mode in Mode:
             for entry in factor(1, 6, mode):

@@ -272,6 +272,12 @@ class TestVerify:
         assert out.startswith("verify n=12 (PASS)")
         assert "ffield interpolation: corrected=PASS paper=DIVERGENT" in out
 
+    def test_default_primes_at_rank_twelve_are_thirteen(self):
+        # without --max-n the defaults are still the first n + 1 primes from 5
+        verdict = report("verify --n 12 --oracles ffield")
+        assert len(verdict["oracles"]["ffield"]["primes"]) == 13
+        assert verdict["result"] == "PASS"
+
     @pytest.mark.parametrize("n", [6, 7, 12, 40])
     def test_default_primes_rebuild_chi(self, n):
         # the defaults are the first n + 1 primes from 5, and each one passes

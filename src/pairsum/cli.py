@@ -25,7 +25,6 @@ from collections import Counter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import GRAPH_CENSUS_LIMIT, Mode, __version__
-from .polynomial import decimal_str
 
 if TYPE_CHECKING:
     from .polynomial import IntPolynomial
@@ -54,10 +53,13 @@ def _error(message: str) -> None:
 
 
 def _str_coeffs(poly: IntPolynomial) -> list[str]:
+    from .polynomial import decimal_str
+
     return [decimal_str(c) for c in poly.coeffs]
 
 
 def _diff_entries(computed: IntPolynomial, reference: IntPolynomial) -> list[dict]:
+    from .polynomial import decimal_str
     from .published import diff_polynomials
 
     return [
@@ -110,6 +112,7 @@ def _cmd_charpoly(args: argparse.Namespace) -> Outcome:
 def _cmd_chambers(args: argparse.Namespace) -> Outcome:
     n = args.n
     from .charpoly import chambers
+    from .polynomial import decimal_str
 
     total, bounded = map(decimal_str, chambers(n, args.mode))
     payload = {"n": n, "mode": args.mode, "total": total, "bounded": bounded}
@@ -125,6 +128,7 @@ def _cmd_chambers(args: argparse.Namespace) -> Outcome:
 def _cmd_table(args: argparse.Namespace) -> Outcome:
     n_max = args.to
     from .charpoly import ChamberCounts, chi_table, signs_alternate
+    from .polynomial import decimal_str
     from .published import published_chamber_total, published_chi
 
     polys = chi_table(n_max, args.mode)
@@ -194,6 +198,7 @@ def _cmd_table(args: argparse.Namespace) -> Outcome:
 def _cmd_bipartite(args: argparse.Namespace) -> Outcome:
     n_max = args.to
     from . import graphcounts
+    from .polynomial import decimal_str
 
     table = graphcounts.connected_bipartite_table(n_max)
     census = None
@@ -282,6 +287,7 @@ def _verify_ffield(
     n: int, polys: dict[str, IntPolynomial], reference: IntPolynomial | None, primes: Sequence[int]
 ) -> _Verdict:
     from .oracle import finite_field_count, interpolate_counts
+    from .polynomial import decimal_str
 
     counts = [(q, finite_field_count(n, q)) for q in primes]
     rows = []

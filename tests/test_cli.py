@@ -544,7 +544,8 @@ def test_pinned_text_and_latex_output(argv, digest):
 _LAZY_IMPORT_SCRIPT = """
 import contextlib, io, json, sys
 from pairsum import cli
-pipeline = ("pairsum.central", "pairsum.charpoly", "pairsum.graphcounts", "pairsum.labeled")
+pipeline = ("pairsum.central", "pairsum.charpoly", "pairsum.graphcounts", "pairsum.labeled",
+            "pairsum.polynomial")
 loaded_by_import = [name for name in pipeline if name in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["bipartite", "--to", "12"]) == 0
@@ -587,8 +588,9 @@ print(json.dumps({
 
 def test_commands_import_only_the_modules_they_run():
     report = fresh_json(_LAZY_IMPORT_SCRIPT)
-    # the CLI module itself loads no pipeline, so --help and the parser's
-    # usage errors run none of it; bipartite needs the graph tables, not Gamma
+    # the CLI module itself loads no pipeline, not even the polynomial type, so
+    # --help and the parser's usage errors run none of it; bipartite needs the
+    # graph tables, not Gamma
     assert report["loaded_by_import"] == []
     assert report["loaded_by_bipartite"] == []
     # charpoly, chambers, table and bipartite past the census limit need no

@@ -30,13 +30,8 @@ from queue import Queue
 
 ROOT = Path(__file__).resolve().parents[1]
 # each mutated module of src/pairsum and the test files that run first for it
-MODULES = {
-    "labeled": ["tests/test_labeled.py"],
-    "central": ["tests/test_central.py"],
-    "charpoly": ["tests/test_charpoly.py"],
-    "graphcounts": ["tests/test_graphcounts.py"],
-    "oracle": ["tests/test_oracle.py"],
-}
+MODULES = {module: [f"tests/test_{module}.py"]
+           for module in ("labeled", "central", "charpoly", "graphcounts", "oracle")}
 # operator class: (its symbol, the symbol of its mutant)
 OPERATORS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "//"),
              ast.FloorDiv: ("//", "*"), ast.Mod: ("%", "//"), ast.Lt: ("<", "<="),
@@ -109,6 +104,8 @@ def pytest(copy: Path, args: list[str]) -> tuple[str, str | None]:
 
 def main() -> None:
     start = time.monotonic()
+    # SIGTERM unwinds like Ctrl-C: the pending mutants are dropped and the copies removed
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     sources = {m: (ROOT / "src" / "pairsum" / f"{m}.py").read_bytes() for m in MODULES}
     mutants = [(module, site) for module, source in sources.items() for site in sites(source)]
     with tempfile.TemporaryDirectory() as tmp:

@@ -286,6 +286,14 @@ def _verify_whitney(
 def _verify_ffield(
     n: int, polys: dict[str, IntPolynomial], reference: IntPolynomial | None, primes: Sequence[int]
 ) -> _Verdict:
+    """Count points at each of the k primes and, when k >= n + 1, rebuild chi
+    from the counts.
+
+    When every row passed, every count is chi_corrected(q), so any n + 1 of
+    them interpolate to chi_corrected, as all k do: the first n + 1 give the
+    same report to the byte, in O(n^2) work instead of O(k^2).  Only a report
+    with a failing row interpolates through all k counts.
+    """
     from .oracle import finite_field_count, interpolate_counts
     from .polynomial import decimal_str
 
@@ -306,7 +314,7 @@ def _verify_ffield(
     # interpolate and compare every coefficient at once
     if len(counts) >= n + 1:
         try:
-            interp = interpolate_counts(counts, n)
+            interp = interpolate_counts(counts if failed else counts[: n + 1], n)
         except ValueError as exc:
             result = section["interpolation"] = {"result": "FAIL", "reason": str(exc)}
             lines.append(f"  ffield interpolation: FAIL ({exc})")

@@ -5,15 +5,17 @@ import json
 import subprocess
 import sys
 from collections import deque
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def rational_echelon(rows, ncols):
     """(pivot, row) pairs of the reduced row echelon form of rows over the
     rationals, each row scaled to coprime integers with a positive pivot.  A
-    pivot at ncols, the constant column, means the rows share no point."""
-    matrix = [[Fraction(a) for a in row] for row in rows]
+    pivot at ncols, the constant column, means the rows share no point.
+
+    Fraction-free Gauss-Jordan elimination: a row is cleared at a pivot column
+    by integer cross-multiplication, then divided by the gcd of its entries."""
+    matrix = [list(row) for row in rows]
     pivots = []
     for col in range(ncols + 1):
         top = len(pivots)
@@ -21,15 +23,16 @@ def rational_echelon(rows, ncols):
         if pick is None:
             continue
         matrix[top], matrix[pick] = matrix[pick], matrix[top]
-        matrix[top] = [a / matrix[top][col] for a in matrix[top]]
+        pivot = matrix[top]
         for i, other in enumerate(matrix):
             if i != top and other[col]:
-                matrix[i] = [a - other[col] * b for a, b in zip(other, matrix[top])]
+                row = [pivot[col] * a - other[col] * b for a, b in zip(other, pivot)]
+                matrix[i] = [a // (gcd(*row) or 1) for a in row]
         pivots.append(col)
     out = []
     for col, row in zip(pivots, matrix):
-        ints = [int(a * lcm(*(b.denominator for b in row))) for a in row]
-        out.append((col, tuple(a // gcd(*ints) for a in ints)))
+        scale = gcd(*row) if row[col] > 0 else -gcd(*row)
+        out.append((col, tuple(a // scale for a in row)))
     return out
 
 

@@ -29,6 +29,7 @@ class TestIntPolynomial:
         assert str(IntPolynomial([0, 0, 3])) == "3t^2"
         assert str(IntPolynomial([5])) == "5"
         assert str(IntPolynomial([0, -1])) == "-t"
+        assert str(IntPolynomial([1, 1])) == "t + 1"
 
     def test_latex_braces_only_from_power_ten(self):
         poly = IntPolynomial([0] * 10 + [1])
@@ -37,6 +38,7 @@ class TestIntPolynomial:
 
     def test_trailing_zeros_stripped(self):
         assert IntPolynomial([1, 2, 0, 0]).degree == 1
+        assert IntPolynomial([5, 0]).degree == 0
 
     def test_evaluation_is_exact_int(self):
         poly = IntPolynomial([6, -5, 1])

@@ -63,10 +63,7 @@ class TestCharpoly:
 
     def test_n_beyond_configured_max(self):
         assert run("charpoly --n 5 --max-n 5")[0] == 0
-
-    def test_paper_mode(self):
-        out = run("charpoly --n 5 --mode paper")[1]
-        assert out == "t^5 - 20t^4 + 165t^3 - 695t^2 + 1480t - 1253\n"
+        assert run("charpoly --n 1 --max-n 1")[0] == 0  # --max-n at the lowest n
 
 
 class TestChambers:
@@ -92,20 +89,11 @@ class TestTable:
         powers = {d["power"] for d in rows[2]["published"]["polynomial_differences"]}
         assert powers == {0, 1}
 
-    def test_deterministic_output(self):
-        assert run("table --to 6 --mode paper --format json") == run(
-            "table --to 6 --mode paper --format json"
-        )
-
     def test_latex_layout(self):
         code, out, _ = run("table --to 3 --format latex")
         assert code == 0
         assert "\\[ \\chi_{2}(t) = t^2 - 5t + 6 \\]" in out
         assert "\\begin{array}" in out
-
-    def test_json_roundtrip(self):
-        payload = report("table --to 5")
-        assert json.loads(json.dumps(payload)) == payload
 
     @pytest.mark.parametrize(
         "mode, digest",
@@ -131,11 +119,6 @@ class TestBipartite:
         assert by_key[(2, 1)]["count"] == "1"
         assert by_key[(4, 3)]["count"] == "16"
         assert by_key[(5, 6)]["count"] == by_key[(5, 6)]["census"]
-
-    def test_formula_only_beyond_six(self):
-        payload = report("bipartite --to 8")
-        assert payload["census_included"] is False
-        assert all("census" not in row for row in payload["rows"])
 
 
 class TestVerify:
@@ -176,6 +159,7 @@ class TestVerify:
 
     def test_report_echoes_requested_workers(self):
         assert report("verify --n 2 --oracles ffield --workers 64")["workers"] == 64
+        assert report("verify --n 2 --oracles ffield")["workers"] == 1  # the default
 
     def test_unknown_oracle(self):
         assert "psychic" in usage_error("verify --n 3 --oracles psychic")
@@ -291,6 +275,23 @@ class TestVerify:
         assert len(section["primes"]) == n + 1
         assert section["interpolation"]["result"] == "PASS"
         assert section["interpolation"]["coeffs"] == [str(c) for c in chi(n).coeffs]
+
+    def test_interpolates_through_n_plus_one_counts_unless_a_row_fails(self, monkeypatch):
+        # when every row passed, the first n + 1 counts rebuild chi; a report
+        # with a failing row interpolates through all k of them
+        import pairsum.oracle as oracle_module
+
+        interpolate, count = oracle_module.interpolate_counts, oracle_module.finite_field_count
+        sizes = []
+        monkeypatch.setattr(oracle_module, "interpolate_counts",
+                            lambda points, n: sizes.append(len(points)) or interpolate(points, n))
+        argv = "verify --n 2 --oracles ffield --primes " + ",".join(
+            map(str, oracle_module.default_verification_primes(39)))  # the first 40 from 5
+        assert run(argv)[0] == 0
+        monkeypatch.setattr(oracle_module, "finite_field_count",
+                            lambda n, q: count(n, q) + (q == 7))
+        assert run(argv)[0] == 1
+        assert sizes == [3, 40]
 
     def test_guard_reasons(self):
         verdict = report("verify --n 7 --oracles whitney,graphs --max-n 7", code=1)
@@ -426,9 +427,6 @@ class TestFailureExitCodes:
 
 
 class TestParser:
-    def test_usage_error_exit_two(self):
-        assert run("charpoly")[0] == 2  # missing --n
-
     def test_version(self):
         code, out, _ = run("--version")
         assert code == 0
@@ -701,12 +699,20 @@ def test_mutation_sites_are_stable_and_every_mutant_compiles():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
+    # every module but the published table and the series layer
+    assert sorted(mutants.MODULES) == sorted(
+        path.stem for path in (ROOT / "src" / "pairsum").glob("*.py")
+        if path.stem not in ("__init__", "__main__", "published", "series"))
     for module, files in mutants.MODULES.items():
         assert all((ROOT / name).is_file() for name in files), module
         source = (ROOT / "src" / "pairsum" / f"{module}.py").read_bytes()
         sites = mutants.sites(source)
         assert sites and sites == mutants.sites(source), module
         tree = ast.parse(source)
+        # each raise statement, and nothing else, becomes pass
+        raises = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise))
+        assert [(line, original[:5], mutated) for _, line, kind, original, mutated in sites
+                if kind == "raise"] == [(line, "raise", "pass") for line in raises], module
         docstrings = {
             line for node in ast.walk(tree)
             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)

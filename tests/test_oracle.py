@@ -300,6 +300,10 @@ class TestFiniteFieldCount:
     def test_large_field_at_rank_two(self):
         assert finite_field_count(2, 12241) == chi(2)(12241)
 
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            finite_field_count(0, 5)
+
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
             finite_field_count(2, 4)

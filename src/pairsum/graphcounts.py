@@ -35,12 +35,11 @@ def default_caps(n: int) -> TruncationCaps:
     """Caps guaranteeing no needed coefficient is truncated for orders <= n.
 
     dy allows every edge plus one color wall per vertex, the largest
-    cardinality any graph on n vertices can reach.
+    cardinality any graph on n vertices can reach.  A negative n raises
+    ValueError, from :func:`math.comb`.
     """
     from .series import TruncationCaps
 
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return TruncationCaps(n, comb(n, 2) + n, 0)
 
 

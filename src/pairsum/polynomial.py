@@ -32,11 +32,9 @@ class IntPolynomial:
 
     def __init__(self, coeffs: Iterable[int]):
         values = [operator.index(c) for c in coeffs]
-        while len(values) > 1 and values[-1] == 0:
+        while values and values[-1] == 0:
             values.pop()
-        if not values:
-            values = [0]
-        self._coeffs = tuple(values)
+        self._coeffs = tuple(values) or (0,)
 
     @property
     def coeffs(self) -> tuple[int, ...]:

@@ -1,4 +1,6 @@
-"""Command-line surface: rendering, schemas, exit codes, determinism."""
+"""Command-line surface: exit codes, usage errors, failing reports, imports and
+determinism.  The bytes of passing runs are pinned by bench/digests.json (in
+test_pinned_outputs.py, with the default flags) and by the four sha256 pins here."""
 
 import ast
 import contextlib
@@ -50,51 +52,12 @@ def usage_error(argv):
 
 
 class TestCharpoly:
-    def test_text(self):
-        assert run("charpoly --n 3") == (0, "t^3 - 9t^2 + 27t - 27\n", "")
-
-    def test_json_schema(self):
-        payload = {"n": 2, "mode": "corrected", "coeffs": ["6", "-5", "1"]}
-        assert report("charpoly --n 2") == payload
-
-    def test_latex(self):
-        latex = "\\[ \\chi_{2}(t) = t^2 - 5t + 6 \\]\n"
-        assert run("charpoly --n 2 --format latex")[:2] == (0, latex)
-
     def test_n_beyond_configured_max(self):
         assert run("charpoly --n 5 --max-n 5")[0] == 0
         assert run("charpoly --n 1 --max-n 1")[0] == 0  # --max-n at the lowest n
 
 
-class TestChambers:
-    def test_text(self):
-        code, out, _ = run("chambers --n 2")
-        assert code == 0
-        assert "chambers (total): 12" in out
-        assert "relatively bounded chambers: 2" in out
-
-    def test_json(self):
-        payload = {"n": 3, "mode": "corrected", "total": "64", "bounded": "8"}
-        assert report("chambers --n 3") == payload
-
-
 class TestTable:
-    def test_small_table_matches_published_through_three(self):
-        rows = report("table --to 4")["rows"]
-        assert rows[0]["published"]["matches"] is True
-        assert rows[1]["published"]["matches"] is True
-        # rank 4: the published row fails Zaslavsky positivity and is
-        # itemized as a difference
-        assert rows[2]["published"]["matches"] is False
-        powers = {d["power"] for d in rows[2]["published"]["polynomial_differences"]}
-        assert powers == {0, 1}
-
-    def test_latex_layout(self):
-        code, out, _ = run("table --to 3 --format latex")
-        assert code == 0
-        assert "\\[ \\chi_{2}(t) = t^2 - 5t + 6 \\]" in out
-        assert "\\begin{array}" in out
-
     @pytest.mark.parametrize(
         "mode, digest",
         [
@@ -108,17 +71,6 @@ class TestTable:
         code, out, _ = run(f"table --to 16 --max-n 16 --mode {mode} --format json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-class TestBipartite:
-    def test_rows_with_census(self):
-        payload = report("bipartite --to 6")
-        assert payload["census_included"] is True
-        assert payload["census_matches"] is True
-        by_key = {(row["n"], row["k"]): row for row in payload["rows"]}
-        assert by_key[(2, 1)]["count"] == "1"
-        assert by_key[(4, 3)]["count"] == "16"
-        assert by_key[(5, 6)]["count"] == by_key[(5, 6)]["census"]
 
 
 class TestVerify:
@@ -347,9 +299,26 @@ class TestFailureExitCodes:
         assert code == 1
         assert out == (
             "connected labeled bipartite graphs by (order, size)\n"
+            "b(1,0) = 0  [census 1: MISMATCH]\n"
             "b(2,1) = 7  [census 1: MISMATCH]\n"
             "census comparison: FAIL\n"
         )
+
+    @pytest.mark.parametrize("order_four, row", [
+        ({(4, 0): 3}, "b(4,3) = 0  [census 16: MISMATCH]"),  # the 16 trees dropped
+        ({(3, 0): 16, (4, 0): 3, (6, 0): 1}, "b(4,6) = 1  [census 0: MISMATCH]"),  # K4 added
+    ], ids=["census_only", "table_only"])
+    def test_bipartite_compares_a_size_that_one_side_lacks(self, monkeypatch, order_four, row):
+        # K4 is not bipartite, so only the table counts b(4,6)
+        import pairsum.graphcounts as graphcounts_module
+
+        built = graphcounts_module.connected_bipartite_table
+        monkeypatch.setattr(graphcounts_module, "connected_bipartite_table",
+                            lambda n: [*built(n)[:4], order_four, *built(n)[5:]])
+        code, out, _ = run("bipartite --to 5")
+        assert code == 1
+        assert row in out.splitlines()
+        assert out.endswith("\ncensus comparison: FAIL\n")
 
     def test_verify_fails_when_a_point_count_disagrees(self, monkeypatch):
         # one count off by one: that prime fails, and the four samples no

@@ -8,7 +8,7 @@
 # It runs `python` from PATH against the source tree and stops at the first
 # failing check.  Its last line says that every check passed.
 #
-# The mutation run, `python tools/mutants.py`, takes about 13 minutes on two
+# The mutation run, `python tools/mutants.py`, takes about 15 minutes on two
 # vCPUs, too long for this script; tier-1 checks what it reads
 # (tests/test_cli.py::test_mutation_sites_are_stable_and_every_mutant_compiles).
 set -euo pipefail
@@ -20,9 +20,11 @@ export PYTHONDONTWRITEBYTECODE=1
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# argparse %-formats a help string only when --help asks for it, so a bad
-# one would show up nowhere else
-echo "ci_checks: subcommand help"
+# argparse %-formats a help string only when --help asks for it, and each
+# subcommand's summary only in the top-level help, so a bad one would show
+# up nowhere else
+echo "ci_checks: top-level and subcommand help"
+python -m pairsum --help > /dev/null
 for cmd in charpoly chambers table bipartite verify; do
   python -m pairsum "$cmd" --help > /dev/null
 done

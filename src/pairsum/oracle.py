@@ -302,13 +302,10 @@ def interpolate_counts(points: Sequence[tuple[int, int]], n: int) -> IntPolynomi
         coeffs = [newton[i], *coeffs]
         for k in range(len(coeffs) - 1):
             coeffs[k] -= xs[i] * coeffs[k + 1]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) - 1 != n:
-        raise ValueError(
-            f"samples interpolate to degree {len(coeffs) - 1}, expected {n}"
-        )
-    return IntPolynomial(coeffs)
+    poly = IntPolynomial(coeffs)
+    if poly.degree != n:
+        raise ValueError(f"samples interpolate to degree {poly.degree}, expected {n}")
+    return poly
 
 
 def interpolated_chi(n: int, primes: Sequence[int]) -> IntPolynomial:

@@ -210,10 +210,6 @@ class TestGammaProduct:
         for m in range(1, 5):
             assert by_rank(series, m) == colored_graph_counts(m), m
 
-    def test_rank_cardinality_table_matches_census(self):
-        for n in range(1, 6):
-            assert whitney_numbers(n) == central_census(n), n
-
     def test_paper_and_corrected_identical_through_rank_four(self):
         assert gamma(4, Mode.PAPER) == gamma(4, Mode.CORRECTED)
         assert whitney_numbers(4, Mode.PAPER) == whitney_numbers(4, Mode.CORRECTED)

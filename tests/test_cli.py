@@ -79,27 +79,6 @@ class TestVerify:
         assert code == 0
         assert "(PASS)" in out
 
-    def test_rank_five_report_records_divergences(self):
-        # corrected mode passes; paper divergence is recorded
-        verdict = report("verify --n 5 --oracles whitney")
-        whitney = verdict["oracles"]["whitney"]
-        assert whitney["corrected"]["result"] == "PASS"
-        assert whitney["paper"]["result"] == "DIVERGENT"
-        assert whitney["paper"]["differences"] == [
-            {"power": 0, "computed": "-1253", "published": "-1263"}
-        ]
-        assert whitney["published_vs_oracle"]["result"] == "DIVERGENT"
-        assert verdict["published"]["paper"]["result"] == "DIVERGENT"
-        assert verdict["result"] == "PASS"
-
-    def test_graphs_oracle(self):
-        from pairsum.oracle import GRAPH_FAMILIES
-
-        checks = report("verify --n 6 --oracles graphs")["oracles"]["graphs"]["checks"]
-        # one check per census family, in the order and by the names of the map
-        assert [c["name"] for c in checks] == list(GRAPH_FAMILIES)
-        assert [c["result"] for c in checks] == ["PASS"] * 4
-
     def test_oracle_guard_reported_not_fatal(self):
         oracles = report("verify --n 6 --oracles whitney,graphs --primes 5")["oracles"]
         assert oracles["whitney"]["status"] == "skipped"
@@ -704,7 +683,7 @@ def test_mutation_sites_are_stable_and_every_mutant_compiles():
 
 def test_every_python_file_parses_as_python_3_10():
     # CI runs Python 3.10 to 3.13: newer syntax would fail only on the 3.10 leg
-    for folder in ("src", "tests", "tools"):
+    for folder in ("src", "tests", "tools", "bench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             ast.parse(path.read_bytes(), str(path), feature_version=(3, 10))
 

@@ -64,14 +64,6 @@ class TestBicoloredSeries:
 
 
 class TestConnectedBipartiteCounts:
-    def test_known_small_values(self):
-        b = count_table(connected_bipartite_table(6))
-        assert b[(1, 0)] == 1  # single vertex
-        assert b[(2, 1)] == 1  # single edge
-        assert b[(3, 2)] == 3  # labeled paths on 3 vertices
-        assert b[(4, 3)] == 16  # labeled trees on 4 vertices
-        assert b[(4, 4)] == 3  # labeled 4-cycles
-
     def test_zero_pattern(self):
         # no connected bipartite graph has k < n-1 edges (n >= 2) or more
         # than floor(n/2)*ceil(n/2) edges

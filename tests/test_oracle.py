@@ -556,11 +556,6 @@ class TestCentralCensus:
         rng.shuffle(rows)
         assert census_in_order(rows) == dict(central_census(n).items())
 
-    def test_rank_six_past_the_guard(self):
-        from pairsum.central import Mode, whitney_numbers
-
-        assert central_census(6, limit=6) == whitney_numbers(6, Mode.CORRECTED)
-
     def test_orbit_passes_count_like_one_pass_over_every_wall(self):
         for n in range(1, 7):
             assert dict(central_census(n, limit=6).items()) == census_in_order(

@@ -18,10 +18,10 @@ each other format it supports; :func:`main` writes the one format asked for.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections import Counter
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import GRAPH_CENSUS_LIMIT, Mode, __version__
@@ -46,6 +46,8 @@ class UsageError(Exception):
 def _error(message: str) -> None:
     """Write one ``pairsum: error:`` line to stderr, if it can be written;
     the exit code still tells the caller."""
+    if sys.stderr is None:  # started with stderr closed: print(file=None) writes to stdout
+        return
     try:
         print(f"pairsum: error: {message}", file=sys.stderr)
     except OSError:
@@ -69,7 +71,7 @@ def _diff_entries(computed: IntPolynomial, reference: IntPolynomial) -> list[dic
 
 
 def integer(text: str) -> int:
-    """An argparse type: an optional sign and ASCII digits, with spaces around them."""
+    """An integer option: an optional sign and ASCII digits, with spaces around them."""
     digits = text.strip().lstrip("+-")  # int() then refuses a second sign
     if not (digits.isascii() and digits.isdigit()):  # int() takes 1_1 and non-ASCII digits
         raise ValueError(f"not an integer: {text!r}")
@@ -98,7 +100,7 @@ def _latex_array(columns: str, header: tuple, rows: list[tuple]) -> str:
 # -- charpoly and chambers ---------------------------------------------------
 
 
-def _cmd_charpoly(args: argparse.Namespace) -> Outcome:
+def _cmd_charpoly(args: SimpleNamespace) -> Outcome:
     n = args.n
     from .charpoly import chi
 
@@ -109,7 +111,7 @@ def _cmd_charpoly(args: argparse.Namespace) -> Outcome:
     }
 
 
-def _cmd_chambers(args: argparse.Namespace) -> Outcome:
+def _cmd_chambers(args: SimpleNamespace) -> Outcome:
     n = args.n
     from .charpoly import chambers
     from .polynomial import decimal_str
@@ -125,7 +127,7 @@ def _cmd_chambers(args: argparse.Namespace) -> Outcome:
 # -- table -------------------------------------------------------------------
 
 
-def _cmd_table(args: argparse.Namespace) -> Outcome:
+def _cmd_table(args: SimpleNamespace) -> Outcome:
     n_max = args.to
     from .charpoly import ChamberCounts, chi_table, signs_alternate
     from .polynomial import decimal_str
@@ -200,7 +202,7 @@ def _at_order(counts: Counter, n: int) -> dict[int, int]:
     return {k: count for (m, k), count in counts.items() if m == n}
 
 
-def _cmd_bipartite(args: argparse.Namespace) -> Outcome:
+def _cmd_bipartite(args: SimpleNamespace) -> Outcome:
     n_max = args.to
     from . import graphcounts
     from .polynomial import decimal_str
@@ -367,7 +369,7 @@ def _verify_graphs(
 _VERIFIERS = {"whitney": _verify_whitney, "ffield": _verify_ffield, "graphs": _verify_graphs}
 
 
-def _cmd_verify(args: argparse.Namespace) -> Outcome:
+def _cmd_verify(args: SimpleNamespace) -> Outcome:
     n = args.n
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
@@ -430,67 +432,138 @@ def _cmd_verify(args: argparse.Namespace) -> Outcome:
 
 
 # -- parser ------------------------------------------------------------------
+#
+# One table declares every command: its handler, its size flag and lowest size,
+# its summary and its other options.  An option maps its flag to (default,
+# kind, help), where kind is integer, a tuple of choices or None for any text.
+# main checks each size rule (flag, lowest value, cap) before its command runs.
+
+_MODE = {"--mode": ("corrected", tuple(m.value for m in Mode),
+                    "the type-1 series, corrected or as published (default corrected)")}
+_FORMAT = {"--format": ("text", ("text", "json", "latex"), "output format (default text)")}
+_MAX_N = {"--max-n": (DEFAULT_MAX_N, integer, f"largest accepted n (default {DEFAULT_MAX_N})")}
+_ORACLES = ",".join(_VERIFIERS)
+
+COMMANDS = {
+    "charpoly": (_cmd_charpoly, "--n", 1, "characteristic polynomial for one n",
+                 {**_MODE, **_FORMAT, **_MAX_N}),
+    "chambers": (_cmd_chambers, "--n", 1, "chamber counts via Zaslavsky's theorem",
+                 {**_MODE, **_FORMAT, **_MAX_N}),
+    "table": (_cmd_table, "--to", 2,
+              "polynomials and chambers for n=2..N, diffed against the published list",
+              {**_MODE, **_FORMAT, **_MAX_N}),
+    "bipartite": (_cmd_bipartite, "--to", 1, "connected bipartite graph counts b(n,k)", _FORMAT),
+    "verify": (_cmd_verify, "--n", 1, "cross-check both modes against brute-force oracles", {
+        "--format": ("text", ("text", "json"), "output format (default text)"),
+        **_MAX_N,
+        "--oracles": (_ORACLES, None, f"comma-separated subset of {_ORACLES}"),
+        "--primes": (None, None, "override the finite-field primes (default: the first\n"
+                     "max(4, n+1) from 5; 23,29,31 at n=5)"),
+        "--workers": (1, integer, "echoed in the report; every oracle is serial, so it\n"
+                      "changes no work"),
+    }),
+}
+
+_HELP = ("-h, --help", "show this help and exit")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pairsum",
-        description=(
-            "Exact characteristic polynomials and chamber counts for the "
-            "arrangement x_i+x_j=1 (i<j), x_k=0, x_l=1 in R^n."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"pairsum {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _options(name: str) -> dict[str, tuple]:
+    """The options of a command, its size flag first."""
+    _, size, low, _, options = COMMANDS[name]
+    cap = "--max-n" if "--max-n" in options else DEFAULT_MAX_N
+    return {size: (None, integer, f"required, from {low} to {cap}"), **options}
 
-    # main checks each size rule (flag, lowest value, cap) before its command runs
-    def command(name, func, size, low, summary, formats=("text", "json", "latex"), mode=True,
-                max_n=True) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func, flag=size, low=low, max_n=DEFAULT_MAX_N)
-        p.add_argument(size, type=integer, required=True)
-        if mode:
-            p.add_argument("--mode", choices=[m.value for m in Mode], default="corrected")
-        p.add_argument("--format", choices=formats, default="text")
-        if max_n:
-            p.add_argument("--max-n", type=integer,
-                           help=f"largest accepted n (default {DEFAULT_MAX_N})")
-        return p
 
-    command("charpoly", _cmd_charpoly, "--n", 1, "characteristic polynomial for one n")
-    command("chambers", _cmd_chambers, "--n", 1, "chamber counts via Zaslavsky's theorem")
-    command("table", _cmd_table, "--to", 2,
-            "polynomials and chambers for n=2..N, diffed against the published list")
-    command("bipartite", _cmd_bipartite, "--to", 1, "connected bipartite graph counts b(n,k)",
-            mode=False, max_n=False)
-    p = command("verify", _cmd_verify, "--n", 1,
-                "cross-check both modes against brute-force oracles",
-                formats=("text", "json"), mode=False)
-    oracles = ",".join(_VERIFIERS)
-    p.add_argument("--oracles", default=oracles, help=f"comma-separated subset of {oracles}")
-    p.add_argument("--primes",
-                   help="override the finite-field primes (default: the first max(4, n+1) "
-                   "from 5; 23,29,31 at n=5)")
-    p.add_argument("--workers", type=integer, default=1,
-                   help="echoed in the report; every oracle is serial, so it changes no work")
-    return parser
+def _value(flag: str, kind: Callable | tuple | None, text: str) -> object:
+    if kind is integer:
+        try:
+            return integer(text)
+        except ValueError:  # also past int()'s digit limit
+            raise UsageError(f"argument {flag}: invalid integer value: {text!r}") from None
+    if kind is not None and text not in kind:
+        raise UsageError(f"argument {flag}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(kind)})")
+    return text
+
+
+def _columns(rows: list[tuple[str, str]]) -> list[str]:
+    width = max(len(left) for left, _ in rows) + 2
+    return [f"  {left:<{width}}{text}".replace("\n", "\n" + " " * (width + 2))
+            for left, text in rows]
+
+
+def _help(name: str | None) -> str:
+    """The text of ``pairsum --help``, or of ``pairsum NAME --help``."""
+    if name is None:
+        return "\n".join([
+            "usage: pairsum [-h] [--version] COMMAND [--flag VALUE ...]", "",
+            "Exact characteristic polynomials and chamber counts for the",
+            "arrangement x_i+x_j=1 (i<j), x_k=0, x_l=1 in R^n.", "", "commands:",
+            *_columns([(command, summary) for command, (*_, summary, _) in COMMANDS.items()]),
+            "", "options:", *_columns([_HELP, ("--version", "show the version and exit")]), "",
+            "Each flag is spelled in full and takes one value, as --flag VALUE or",
+            "--flag=VALUE; pairsum COMMAND --help lists the flags of a command.",
+        ])
+    rows = [(f"{flag} " + ("{%s}" % ",".join(kind) if isinstance(kind, tuple)
+                           else flag[2:].upper().replace("-", "_")), text)
+            for flag, (_, kind, text) in _options(name).items()]
+    usage = " ".join([name, "[-h]", rows[0][0], *(f"[{left}]" for left, _ in rows[1:])])
+    return "\n".join([f"usage: pairsum {usage}", "", COMMANDS[name][3], "", "options:",
+                      *_columns([_HELP, *rows])])
+
+
+def parse(argv: Sequence[str]) -> SimpleNamespace | str:
+    """The arguments of one command, or the text that --help or --version prints.
+
+    Each flag is spelled in full and takes exactly one value, the next token or
+    the text after ``=``, so ``--n -3`` reaches the size check; of a repeated
+    flag the last value wins.  Anything else raises UsageError."""
+    if not argv:
+        raise UsageError(f"no command given; choose from {', '.join(COMMANDS)}")
+    name, *rest = argv
+    if name in ("-h", "--help"):
+        return _help(None)
+    if name == "--version":
+        return f"pairsum {__version__}"
+    if name not in COMMANDS:
+        raise UsageError(f"unknown command {name!r}; choose from {', '.join(COMMANDS)}")
+    func, size, low, _, _ = COMMANDS[name]
+    options = _options(name)
+    values = {flag: default for flag, (default, _, _) in options.items()}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help(name)
+        flag, equals, value = token.partition("=")
+        if flag not in options:
+            raise UsageError(f"unrecognized argument {flag!r}; {name} takes "
+                             f"{', '.join(options)}")
+        if not equals:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"argument {flag}: expected one value")
+        values[flag] = _value(flag, options[flag][1], value)
+    if values[size] is None:
+        raise UsageError(f"argument {size} is required")
+    names = {"func": func, "flag": size, "low": low, "max_n": DEFAULT_MAX_N}
+    names.update((flag[2:].replace("-", "_"), value) for flag, value in values.items())
+    return SimpleNamespace(**names)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if sys.stderr is None:
-        # started with stderr closed: print(file=None), as argparse's usage
-        # errors do, would fall back to stdout
-        sys.stderr = open(os.devnull, "w")
-    args = build_parser().parse_args(argv)
     try:
-        _check_range(args.flag, getattr(args, args.flag[2:]), args.low, args.max_n)
-        code, payload, renderers = args.func(args)
-        if args.format == "json":
-            import json
-
-            text = json.dumps(payload, separators=(",", ":"))
+        args = parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # the text of --help or --version
+            code, text = 0, args
         else:
-            text = renderers[args.format]()
+            _check_range(args.flag, getattr(args, args.flag[2:]), args.low, args.max_n)
+            code, payload, renderers = args.func(args)
+            if args.format == "json":
+                import json
+
+                text = json.dumps(payload, separators=(",", ":"))
+            else:
+                text = renderers[args.format]()
     except UsageError as exc:
         _error(str(exc))
         return 2

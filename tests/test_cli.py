@@ -30,10 +30,7 @@ def run(argv):
     arguments or a string of them separated by blanks."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv.split() if isinstance(argv, str) else argv)
-        except SystemExit as exc:  # argparse reports its own usage errors
-            code = exc.code
+        code = main(argv.split() if isinstance(argv, str) else argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -64,6 +61,7 @@ class TestTable:
             ("corrected", "d3af346e0383fd5013154cba2eeba8d4a28d2063f706414bbbee8fc390dbb949"),
             ("paper", "875730a7904c25dc25549b659b460f5e810e7732800c483fb1e48acb70bb95b8"),
         ],
+        ids=["corrected", "paper"],
     )
     def test_pinned_output_through_sixteen(self, mode, digest):
         # sha256 of the complete stdout; any change to a coefficient, a
@@ -359,7 +357,7 @@ class TestFailureExitCodes:
 
     def test_closed_stderr_keeps_the_exit_code(self):
         # started with stderr closed, sys.stderr is None, and print(file=None)
-        # would write the error line, or argparse's usage text, to stdout
+        # would write the error line to stdout
         def run_sh(redirected):
             return subprocess.run(
                 ["sh", "-c", f'"$0" -m pairsum {redirected}', sys.executable],
@@ -442,29 +440,99 @@ class TestParser:
         assert "error:" in usage_error([*argv, "7" * 4301])
 
     def test_mode_choices_are_the_mode_values(self):
-        # every --mode the parser builds offers the values of Mode, in its order;
-        # Mode is defined once, in the package root, and central re-exports it
-        import argparse
-
+        # every --mode of the command table offers the values of Mode, in its
+        # order; Mode is defined once, in the package root, and central re-exports it
         import pairsum
         from pairsum.central import Mode
-        from pairsum.cli import build_parser
+        from pairsum.cli import COMMANDS
 
         assert Mode is pairsum.Mode
-
-        (commands,) = [
-            action for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
         choices = {
-            name: action.choices
-            for name, sub in commands.choices.items()
-            for action in sub._actions
-            if "--mode" in action.option_strings
+            name: options["--mode"][1]
+            for name, (*_, options) in COMMANDS.items()
+            if "--mode" in options
         }
         assert sorted(choices) == ["chambers", "charpoly", "table"]
         for values in choices.values():
             assert list(values) == [m.value for m in Mode]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "no command given; choose from charpoly, chambers, table, bipartite, verify"),
+            (["frobnicate", "--n", "3"],
+             "unknown command 'frobnicate'; choose from charpoly, chambers, table, bipartite, "
+             "verify"),
+            (["charpoly", "--mode", "paper"], "argument --n is required"),
+            (["table", "--to"], "argument --to: expected one value"),
+            # flags are spelled in full: no prefix of one is taken for it
+            (["charpoly", "--n", "3", "--max", "12"],
+             "unrecognized argument '--max'; charpoly takes --n, --mode, --format, --max-n"),
+            (["bipartite", "--to", "3", "--max-n=3"],
+             "unrecognized argument '--max-n'; bipartite takes --to, --format"),
+            (["verify", "3"],
+             "unrecognized argument '3'; verify takes --n, --format, --max-n, --oracles, "
+             "--primes, --workers"),
+            (["verify", "--n", "3", "--format", "latex"],
+             "argument --format: invalid choice: 'latex' (choose from text, json)"),
+            (["chambers", "--n", "3", "--mode=Paper"],
+             "argument --mode: invalid choice: 'Paper' (choose from paper, corrected)"),
+            # the token after a flag is always its value
+            (["charpoly", "--n", "--mode", "paper"],
+             "argument --n: invalid integer value: '--mode'"),
+            (["charpoly", "--n", "-3"], "--n must be between 1 and 12"),
+        ],
+    )
+    def test_usage_error_names_its_fault(self, argv, message):
+        assert usage_error(argv) == f"pairsum: error: {message}\n"
+
+    def test_flag_value_forms_and_repeats(self):
+        # --flag=VALUE reads as --flag VALUE, and the last of a repeated flag wins
+        paper = run("charpoly --n 4 --mode paper --format json")
+        assert paper[0] == 0
+        assert run("charpoly --n=4 --mode=paper --format=json") == paper
+        assert run("charpoly --n 2 --mode corrected --format text --n 4 --mode paper "
+                   "--format json") == paper
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            ([], ["--version"]),
+            (["charpoly"], ["--n", "--mode", "--format", "--max-n"]),
+            (["chambers", "--n", "3"], ["--n", "--mode", "--format", "--max-n"]),
+            (["table"], ["--to", "--mode", "--format", "--max-n"]),
+            (["bipartite"], ["--to", "--format"]),
+            (["verify"], ["--n", "--format", "--max-n", "--oracles", "--primes", "--workers"]),
+        ],
+    )
+    def test_help_lists_the_flags_on_stdout(self, argv, flags):
+        code, out, err = run([*argv, "--help"])
+        assert (code, err) == (0, "")
+        assert run([*argv, "-h"]) == (code, out, err)
+        assert out.startswith(f"usage: pairsum {' '.join(argv[:1])}")
+        assert [line.split()[0] for line in out.splitlines() if line.startswith("  --")] == flags
+        if "--mode" in flags:
+            assert "--mode {paper,corrected}" in out
+
+    def test_help_text_of_verify(self):
+        # the whole text once: usage line, metavars, choices, column and wrapped help
+        assert run("verify --help")[1] == (
+            "usage: pairsum verify [-h] --n N [--format {text,json}] [--max-n MAX_N] "
+            "[--oracles ORACLES] [--primes PRIMES] [--workers WORKERS]\n"
+            "\n"
+            "cross-check both modes against brute-force oracles\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help and exit\n"
+            "  --n N                 required, from 1 to --max-n\n"
+            "  --format {text,json}  output format (default text)\n"
+            "  --max-n MAX_N         largest accepted n (default 12)\n"
+            "  --oracles ORACLES     comma-separated subset of whitney,ffield,graphs\n"
+            "  --primes PRIMES       override the finite-field primes (default: the first\n"
+            "                        max(4, n+1) from 5; 23,29,31 at n=5)\n"
+            "  --workers WORKERS     echoed in the report; every oracle is serial, so it\n"
+            "                        changes no work\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -475,6 +543,7 @@ class TestParser:
         ("verify --n 7 --max-n 7",
          "1fe6760a312fd3bbf8108377556b1dac0781496e99afa52c113d2ea521234179"),
     ],
+    ids=["verify --n 5", "verify --n 7 --max-n 7"],
 )
 def test_pinned_text_and_latex_output(argv, digest):
     # sha256 of the complete stdout of the text report of verify, which no
@@ -489,26 +558,33 @@ def test_pinned_text_and_latex_output(argv, digest):
 # command should import only the modules it runs.
 _LAZY_IMPORT_SCRIPT = """
 import contextlib, io, json, sys
+parser_modules = [name for name in ("argparse", "gettext", "locale") if name not in sys.modules]
 from pairsum import cli
+parser_loaded = [["import", name] for name in parser_modules if name in sys.modules]
+
+def main(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    parser_loaded.extend([*argv, name] for name in parser_modules if name in sys.modules)
+    return code
+
 pipeline = ("pairsum.central", "pairsum.charpoly", "pairsum.graphcounts", "pairsum.labeled",
             "pairsum.polynomial")
+assert [main(["--help"]), main(["verify", "--help"]), main(["frobnicate"])] == [0, 0, 2]
 loaded_by_import = [name for name in pipeline if name in sys.modules]
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["bipartite", "--to", "12"]) == 0
+assert main(["bipartite", "--to", "12"]) == 0
 loaded_by_bipartite = [name for name in pipeline[:2] if name in sys.modules]
 unused = ("pairsum.oracle", "pairsum.series", "dataclasses", "fractions", "decimal", "numbers",
           "numpy", "multiprocessing", "concurrent.futures.process", "concurrent.futures.thread")
 for argv in (["charpoly", "--n", "6"], ["chambers", "--n", "6"], ["table", "--to", "12"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
+    assert main(argv) == 0, argv
 loaded = [name for name in unused if name in sys.modules]
 from pairsum.oracle import finite_field_count
 ffield = finite_field_count(3, 5)
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["bipartite", "--to", "6"]) == 0
-    # n = 5 counts at three primes; n = 6 at seven, which interpolate
-    verify_codes = [cli.main(["verify", "--n", *rest.split()])
-                    for rest in ("5", "6", "3 --workers 2", "6 --oracles ffield")]
+assert main(["bipartite", "--to", "6"]) == 0
+# n = 5 counts at three primes; n = 6 at seven, which interpolate
+verify_codes = [main(["verify", "--n", *rest.split()])
+                for rest in ("5", "6", "3 --workers 2", "6 --oracles ffield")]
 loaded_after_verify = [name for name in unused if name in sys.modules]
 import pairsum
 from pairsum import oracle
@@ -518,6 +594,8 @@ try:
 except AttributeError as exc:
     missing = str(exc)
 print(json.dumps({
+    "parser_modules": parser_modules,
+    "parser_loaded": parser_loaded,
     "loaded_by_import": loaded_by_import,
     "loaded_by_bipartite": loaded_by_bipartite,
     "loaded": loaded,
@@ -534,6 +612,10 @@ print(json.dumps({
 
 def test_commands_import_only_the_modules_they_run():
     report = fresh_json(_LAZY_IMPORT_SCRIPT)
+    # the command table is parsed by hand: neither the import, nor --help, nor
+    # any command loads argparse, or the gettext and locale it pulls in
+    assert report["parser_modules"], "argparse, gettext and locale all loaded at start-up"
+    assert report["parser_loaded"] == []
     # the CLI module itself loads no pipeline, not even the polynomial type, so
     # --help and the parser's usage errors run none of it; bipartite needs the
     # graph tables, not Gamma
@@ -620,7 +702,7 @@ def test_cli_contract_on_generated_argv(argv):
     assert "Traceback" not in err, argv
     if code == 2:
         assert out == "", argv
-        assert err.startswith("pairsum: error:") or "usage:" in err, (argv, err)
+        assert err.startswith("pairsum: error:") and err.count("\n") == 1, (argv, err)
     else:
         formats = [argv[i + 1] for i, a in enumerate(argv[:-1]) if a == "--format"]
         if formats and formats[-1] == "json":

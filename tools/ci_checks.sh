@@ -20,9 +20,9 @@ export PYTHONDONTWRITEBYTECODE=1
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# argparse %-formats a help string only when --help asks for it, and each
-# subcommand's summary only in the top-level help, so a bad one would show
-# up nowhere else
+# the help is rendered from the command table only when --help asks for it,
+# and each command's summary only in the top-level help, so a fault in either
+# would show up nowhere else
 echo "ci_checks: top-level and subcommand help"
 python -m pairsum --help > /dev/null
 for cmd in charpoly chambers table bipartite verify; do

@@ -12,7 +12,8 @@ from collections import Counter
 from itertools import combinations, product
 
 import pytest
-from conftest import components
+import references
+from conftest import components, rational_echelon
 
 from pairsum import graphcounts, labeled
 from pairsum import central
@@ -51,8 +52,9 @@ def colored_graph_counts(m, connected=False):
     ``connected``, the connected ones with a colored vertex, by cardinality.
 
     Fully independent of the pipeline: for each graph and coloring the wall
-    system (x_u + x_v = 1 per edge, x_v = color per colored vertex) is solved
-    by fraction-free Gaussian elimination.
+    system (x_u + x_v = 1 per edge, x_v = color per colored vertex) is brought
+    to echelon form: its rank is the number of pivots below column m, and it
+    is central when no pivot sits at column m, the constant column.
     """
     out = {}
     slots = list(combinations(range(m), 2))
@@ -67,18 +69,10 @@ def colored_graph_counts(m, connected=False):
                 continue
             rows = [[int(t in edge) for t in range(m)] + [1] for edge in edges]
             rows += [[int(t == v) for t in range(m)] + [colors[v]] for v in colored]
-            rank = 0
-            for col in range(m):
-                pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-                if pivot is None:
-                    continue
-                rows[rank], rows[pivot] = rows[pivot], rows[rank]
-                top = rows[rank]
-                rows[rank + 1:] = [[a * top[col] - b * row[col] for a, b in zip(row, top)]
-                                   for row in rows[rank + 1:]]
-                rank += 1
-            if any(row[m] for row in rows[rank:]):
+            pivots = [col for col, _ in rational_echelon(rows, m)]
+            if m in pivots:
                 continue  # inconsistent: not central
+            rank = len(pivots)
             nu = sum(proper and all(colors[v] is None for v in members)
                      for members, proper in parts)
             cardinality = len(edges) + len(colored)
@@ -282,6 +276,24 @@ class TestSignedProduct:
             gamma(0, signed=True)
         with pytest.raises(ValueError):
             gamma(3, "bogus", signed=True)
+
+
+class TestStagesAtMinusOne:
+    """Each stage of the signed pipeline against its closed form, so that a
+    changed value names the stage that changed it."""
+
+    def test_bicolored_table_is_one_then_twos(self):
+        # sum_i C(m, i) 0^(i(m-i)) keeps i = 0 and i = m: the EGF 2e^x - 1
+        assert graphcounts.bicolored_table(40, signed=True) == [{(0, 0): 1}] + [{(0, 0): 2}] * 40
+
+    @pytest.mark.parametrize("mode", ["corrected", "paper"])
+    def test_exp_of_type_one_and_colored_kind(self, mode):
+        # Gamma at y = -1 over exp(type 0), through 40 vertices
+        _, type1, colored = central._components(40, mode, signed=True)
+        total = labeled.difference(type1, [{key: -value for key, value in entry.items()}
+                                           for entry in colored])
+        expected = getattr(references, f"{mode}_exp")(references.stirling2_rows(40))
+        assert labeled.exp(total) == [{(0, 0): e} if e else {} for e in expected]
 
 
 def fake_product(monkeypatch, series):

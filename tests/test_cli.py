@@ -9,6 +9,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -374,9 +375,10 @@ class TestFailureExitCodes:
 
 class TestParser:
     def test_version(self):
-        code, out, _ = run("--version")
-        assert code == 0
-        assert "pairsum" in out
+        # the version is written twice; Python 3.10 has no tomllib to read it once
+        pyproject = (ROOT / "pyproject.toml").read_text()
+        version = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+        assert run("--version") == (0, f"pairsum {version}\n", "")
 
     @pytest.mark.parametrize(
         "argv, low",
@@ -708,6 +710,14 @@ def test_cli_contract_on_generated_argv(argv):
         if formats and formats[-1] == "json":
             json.loads(out)
     assert run(argv) == (code, out, err), argv
+
+
+@pytest.mark.parametrize("argv", ["charpoly --n 3", "charpoly --n 0"])
+def test_cli_module_runs_main_as_a_script(argv):
+    # python -m pairsum.cli runs main and exits with its code, as python -m pairsum does
+    proc = subprocess.run([sys.executable, "-m", "pairsum.cli", *argv.split()],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(argv)
 
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="the script is a bash script")
